@@ -21,14 +21,15 @@ seats:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from functools import cached_property
+from typing import Iterable, Mapping, Sequence
 
 from .model import (
-    ORIGINAL,
     BranchConfig,
     BranchId,
     Contract,
     ContractId,
+    SeatPlanEntry,
     SlotId,
 )
 
@@ -52,28 +53,54 @@ class SlotFill:
     active: bool
 
 
-@dataclass(frozen=True)
 class ChoiceResult:
-    chosen: frozenset
-    per_slot: Mapping[SlotId, SlotFill]
-    filled: Mapping[SlotId, int]  # original seats only, 1 if assigned
+    """A branch's choice: the ``chosen`` set, what each seat did
+    (``per_slot``) and which original seats were assigned (``filled``, 1 if
+    assigned).
+
+    The choice rule records one pick per entry of the branch's seat plan;
+    ``per_slot`` and ``filled`` are built from the picks when first read.
+    Passing them to the constructor, as custom rules do, sets them directly.
+    """
+
+    def __init__(
+        self,
+        chosen: frozenset,
+        per_slot: Mapping[SlotId, SlotFill] | None = None,
+        filled: Mapping[SlotId, int] | None = None,
+        *,
+        plan: Sequence[SeatPlanEntry] = (),
+        picks: Sequence[ContractId | None] = (),
+    ) -> None:
+        self.chosen = chosen
+        self._plan = plan
+        self._picks = picks
+        if per_slot is not None:
+            self.__dict__["per_slot"] = per_slot
+        if filled is not None:
+            self.__dict__["filled"] = filled
+
+    @cached_property
+    def per_slot(self) -> Mapping[SlotId, SlotFill]:
+        picks = self._picks
+        return {
+            slot: SlotFill(pick, paired < 0 or (bit == 1 and picks[paired] is None))
+            for (slot, paired, bit, _), pick in zip(self._plan, picks)
+        }
+
+    @cached_property
+    def filled(self) -> Mapping[SlotId, int]:
+        return {
+            slot: 1 if pick is not None else 0
+            for (slot, paired, _, _), pick in zip(self._plan, self._picks)
+            if paired < 0
+        }
 
 
 def build_slot_sequence(cfg: BranchConfig) -> SlotSequence:
-    """Merge original and shadow seats into the processing order.
-
-    Shadow seat k is appended immediately after the l_k-th original seat;
-    shadows sharing the same location value keep their own precedence order.
-    Assumes the config passed validation (location nondecreasing, k <= l_k).
-    """
-    order: list[SlotId] = []
-    k = 1
-    for i in range(1, cfg.n + 1):
-        order.append(cfg.original_slot(i))
-        while k <= cfg.n and cfg.location[k - 1] == i:
-            order.append(cfg.shadow_slot(k))
-            k += 1
-    return SlotSequence(cfg.id, tuple(order))
+    """The processing order of the branch's seats (see
+    :attr:`BranchConfig.slot_order`, merged once per config)."""
+    return SlotSequence(cfg.id, cfg.slot_order)
 
 
 def _choose(
@@ -90,39 +117,29 @@ def _choose(
         if c.branch != cfg.id:
             raise ForeignContract(f"contract {cid} belongs to branch {c.branch}, not {cfg.id}")
 
-    per_slot: dict[SlotId, SlotFill] = {}
-    filled: dict[SlotId, int] = {}
-    chosen: list[ContractId] = []
+    plan = cfg.seat_plan
+    picks: list[ContractId | None] = []
     taken_ids: set[ContractId] = set()
     taken_agents: set[str] = set()
 
-    for slot in build_slot_sequence(cfg).order:
-        if slot.kind == ORIGINAL:
-            active = True
-        else:
-            # capacity arrives only if the paired original stayed vacant and
-            # the transfer bit allows it; l_k >= k guarantees the original
-            # was already processed
-            paired = cfg.original_slot(slot.index)
-            active = filled[paired] == 0 and cfg.transfer[slot.index - 1] == 1
+    for _, paired, bit, ranking in plan:
         pick: ContractId | None = None
-        if active:
-            for cid in cfg.priority(slot):
+        # an original seat always holds capacity; a shadow seat only if its
+        # paired original stayed vacant and the transfer bit allows it
+        if paired < 0 or (bit == 1 and picks[paired] is None):
+            for cid in ranking:
                 if cid not in offer_set or cid in taken_ids:
                     continue
                 if not completion and contracts[cid].agent in taken_agents:
                     continue
                 pick = cid
                 break
-        if slot.kind == ORIGINAL:
-            filled[slot] = 1 if pick is not None else 0
-        per_slot[slot] = SlotFill(pick, active)
+        picks.append(pick)
         if pick is not None:
-            chosen.append(pick)
             taken_ids.add(pick)
             taken_agents.add(contracts[pick].agent)
 
-    return ChoiceResult(frozenset(chosen), per_slot, filled)
+    return ChoiceResult(frozenset(taken_ids), plan=plan, picks=picks)
 
 
 def sspwct_choose(

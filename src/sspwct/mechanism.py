@@ -7,12 +7,30 @@ grow, and a contract that drops out of a branch's chosen set counts as
 rejected.  The outcome is the union of every branch's choice from its final
 pool.
 
+Each round does only the work that round needs.  A round changes one
+branch's chosen set, so COM keeps, per agent, a cursor into her preference
+list and a count of her currently chosen contracts, updated from that one
+branch's old-versus-new chosen diff; an agent is held while her count is
+positive.  The newly rejected contracts are the old chosen set minus the
+new one, plus the proposal if it was not chosen (every other pool contract
+outside the chosen set was rejected at an earlier round).  The eligible
+agents (unheld, with a contract left to propose) sit in a sorted list that
+only the touched agents update.  ``lex`` takes its first element and
+``random`` draws ``rng.choice`` from it; the old per-round scan listed the
+same agents in the same order, so both policies pick the same proposer and
+traces are unchanged (by Hirata & Kasuya's order independence, the outcome
+would not depend on that order anyway).  Each step's ``pools`` is a new
+dict that shares the previous step's frozensets except for the branch
+proposed to, so a trace holds one new pool per step instead of a copy of
+every pool.
+
 Stability is verified by brute force: individual rationality plus an
 exhaustive search over candidate blocking sets, feasible per branch.
 """
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping
@@ -40,13 +58,23 @@ class ComStep:
     verdict: str  # "held" or "rejected"
     pools: Mapping[BranchId, frozenset]
 
-    def to_json(self) -> dict:
+    def to_json(self, sorted_pools: dict[int, list] | None = None) -> dict:
+        """JSON view of the step.  ``sorted_pools`` memoizes sorted pools by
+        object identity; it is valid only while those pools are alive, and
+        the lists it hands out are shared between steps."""
+        memo = {} if sorted_pools is None else sorted_pools
+        pools = {}
+        for b, pool in self.pools.items():
+            key = id(pool)
+            if key not in memo:
+                memo[key] = sorted(pool)
+            pools[b] = memo[key]
         return {
             "t": self.t,
             "agent": self.agent,
             "contract": self.contract,
             "verdict": self.verdict,
-            "pools": {b: sorted(pool) for b, pool in self.pools.items()},
+            "pools": pools,
         }
 
 
@@ -56,8 +84,11 @@ class ComTrace:
     outcome: Outcome
 
     def to_json(self) -> dict:
+        """Steps share their unchanged pools, so each distinct pool is sorted
+        once per call."""
+        sorted_pools: dict[int, list] = {}
         return {
-            "steps": [s.to_json() for s in self.steps],
+            "steps": [s.to_json(sorted_pools) for s in self.steps],
             "outcome": sorted(self.outcome),
         }
 
@@ -76,42 +107,55 @@ def cumulative_offer(inst: Instance, policy: str = POLICY_LEX, seed: int = 0) ->
     """
     if policy not in (POLICY_LEX, POLICY_RANDOM):
         raise ValueError(f"unknown proposal policy {policy!r}")
-    rng = random.Random(seed)
+    rng = random.Random(seed) if policy == POLICY_RANDOM else None
+    index = inst.contract_index
+    preferences = inst.preferences
 
-    pools: dict[BranchId, set[ContractId]] = {b: set() for b in inst.branches}
-    current: dict[BranchId, frozenset] = {b: frozenset() for b in inst.branches}
+    pools: dict[BranchId, frozenset] = {b: frozenset() for b in inst.branches}
+    current: dict[BranchId, frozenset] = dict(pools)
     rejected: set[ContractId] = set()
+    cursor = dict.fromkeys(inst.agents, 0)  # first not-yet-rejected contract
+    held = dict.fromkeys(inst.agents, 0)  # contracts in the chosen sets
     steps: list[ComStep] = []
 
-    t = 0
-    while True:
-        held_agents = {
-            inst.contract_index[cid].agent for ch in current.values() for cid in ch
-        }
-        eligible: list[tuple[AgentId, ContractId]] = []
-        for agent in inst.agents:
-            if agent in held_agents:
-                continue
-            favorite = next(
-                (cid for cid in inst.preferences.get(agent, ()) if cid not in rejected),
-                None,
-            )
-            if favorite is not None:
-                eligible.append((agent, favorite))
-        if not eligible:
-            break
+    def can_propose(agent: AgentId) -> bool:
+        ranking = preferences.get(agent, ())
+        i = cursor[agent]
+        while i < len(ranking) and ranking[i] in rejected:
+            i += 1
+        cursor[agent] = i
+        return held[agent] == 0 and i < len(ranking)
 
-        agent, cid = eligible[0] if policy == POLICY_LEX else rng.choice(eligible)
-        t += 1
-        branch = inst.contract_index[cid].branch
-        pools[branch].add(cid)
-        result = branch_choice(inst, branch, pools[branch])
-        current[branch] = result.chosen
-        rejected |= pools[branch] - result.chosen
-        verdict = "held" if cid in result.chosen else "rejected"
-        steps.append(
-            ComStep(t, agent, cid, verdict, {b: frozenset(p) for b, p in pools.items()})
-        )
+    eligible = [agent for agent in inst.agents if can_propose(agent)]  # sorted
+    while eligible:
+        agent = eligible[0] if policy == POLICY_LEX else rng.choice(eligible)
+        cid = preferences[agent][cursor[agent]]
+        branch = index[cid].branch
+        pools = dict(pools)
+        pools[branch] = pool = pools[branch] | {cid}
+        old, new = current[branch], branch_choice(inst, branch, pool).chosen
+        current[branch] = new
+        # only the proposer and the agents in this branch's chosen diff change
+        touched = {agent}
+        for c in old - new:
+            rejected.add(c)
+            held[index[c].agent] -= 1
+            touched.add(index[c].agent)
+        for c in new - old:
+            held[index[c].agent] += 1
+            touched.add(index[c].agent)
+        if cid not in new:
+            rejected.add(cid)
+        for a in touched:
+            i = bisect_left(eligible, a)
+            listed = i < len(eligible) and eligible[i] == a
+            if can_propose(a) != listed:
+                if listed:
+                    del eligible[i]
+                else:
+                    eligible.insert(i, a)
+        verdict = "held" if cid in new else "rejected"
+        steps.append(ComStep(len(steps) + 1, agent, cid, verdict, pools))
 
     outcome = frozenset().union(*current.values()) if current else frozenset()
     return ComTrace(tuple(steps), outcome)

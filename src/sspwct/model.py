@@ -50,6 +50,11 @@ class SlotId:
         return f"{self.branch}:{tag}{self.index}"
 
 
+#: One seat of :attr:`BranchConfig.seat_plan`: (slot, position of the paired
+#: original seat or -1, transfer bit, ranking).
+SeatPlanEntry = tuple[SlotId, int, int, tuple[ContractId, ...]]
+
+
 @dataclass(frozen=True)
 class Contract:
     id: ContractId
@@ -118,6 +123,44 @@ class BranchConfig:
 
     def slot_priorities(self) -> tuple[SlotPriority, ...]:
         return tuple(SlotPriority(s, self.priority(s)) for s in self.slots())
+
+    # Derived once per config, on first use (never in __init__, so building
+    # instances stays cheap).  They live outside the dataclass fields:
+    # ``==`` and ``hash`` ignore them and ``dataclasses.replace`` starts empty.
+
+    @cached_property
+    def slot_order(self) -> tuple[SlotId, ...]:
+        """The merged processing order of all 2n seats.
+
+        Shadow seat k comes right after the l_k-th original seat; shadows
+        sharing the same location value keep their own precedence order.
+        Assumes the config passed validation (location nondecreasing, k <= l_k).
+        """
+        order: list[SlotId] = []
+        k = 1
+        for i in range(1, self.n + 1):
+            order.append(self.original_slot(i))
+            while k <= self.n and self.location[k - 1] == i:
+                order.append(self.shadow_slot(k))
+                k += 1
+        return tuple(order)
+
+    @cached_property
+    def seat_plan(self) -> tuple[SeatPlanEntry, ...]:
+        """One entry per seat of :attr:`slot_order`: (slot, position in the
+        order of the paired original seat or -1 for an original seat,
+        transfer bit of the pair, the seat's ranking)."""
+        position: dict[int, int] = {}
+        plan = []
+        for i, slot in enumerate(self.slot_order):
+            if slot.kind == ORIGINAL:
+                position[slot.index] = i
+                paired = -1
+            else:
+                # l_k >= k guarantees the paired original came earlier
+                paired = position[slot.index]
+            plan.append((slot, paired, self.transfer[slot.index - 1], self.priority(slot)))
+        return tuple(plan)
 
 
 @dataclass(frozen=True)

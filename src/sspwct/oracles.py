@@ -21,6 +21,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .choice import ChoiceResult, completion_choose, sspwct_choose
 from .mechanism import (
+    DEFAULT_BLOCKING_BOUND,
     InstanceTooLarge,
     assigned_contract,
     cumulative_offer,
@@ -473,7 +474,7 @@ def check_respects_improvements(
 # -- stability of the mechanism's outcome --
 
 
-def check_stability(inst: Instance, bound: int = 14) -> PropertyVerdict:
+def check_stability(inst: Instance, bound: int = DEFAULT_BLOCKING_BOUND) -> PropertyVerdict:
     """The mechanism's outcome is feasible, individually rational, and
     survives the exhaustive blocking-set search."""
     outcome = cumulative_offer(inst).outcome
@@ -555,7 +556,7 @@ def run_suite_on_instance(
         elif suite == "reduction":
             verdicts += [check_slot_specific_reduction(inst, b, bound) for b in inst.branches]
         elif suite == "stability":
-            verdicts.append(check_stability(inst))
+            verdicts.append(check_stability(inst, bound))
         elif suite == "strategy-proofness":
             verdicts.append(check_strategy_proofness(inst))
         elif suite == "improvements":

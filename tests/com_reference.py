@@ -1,0 +1,157 @@
+"""Reference implementations kept only for differential tests.
+
+These are the straightforward versions the library's fast paths replaced:
+the seat merge rebuilt on every choice call, the choice rule walking it with
+dict bookkeeping, and a cumulative offer process that rescans every agent
+each round and copies every branch's pool into every step.  They are slow
+on purpose and must not be imported by ``sspwct`` itself.
+"""
+from __future__ import annotations
+
+import random
+from typing import Iterable, Mapping
+
+from sspwct.choice import ChoiceResult, ForeignContract, SlotFill
+from sspwct.mechanism import POLICY_LEX, POLICY_RANDOM, ComStep, ComTrace
+from sspwct.model import (
+    ORIGINAL,
+    AgentId,
+    BranchConfig,
+    BranchId,
+    Contract,
+    ContractId,
+    Instance,
+    SlotId,
+)
+
+
+def slot_order(cfg: BranchConfig) -> tuple[SlotId, ...]:
+    """Merge original and shadow seats into the processing order.
+
+    Shadow seat k is appended immediately after the l_k-th original seat;
+    shadows sharing the same location value keep their own precedence order.
+    Assumes the config passed validation (location nondecreasing, k <= l_k).
+    """
+    order: list[SlotId] = []
+    k = 1
+    for i in range(1, cfg.n + 1):
+        order.append(cfg.original_slot(i))
+        while k <= cfg.n and cfg.location[k - 1] == i:
+            order.append(cfg.shadow_slot(k))
+            k += 1
+    return tuple(order)
+
+
+def choose(
+    cfg: BranchConfig,
+    offers: Iterable[ContractId],
+    contracts: Mapping[ContractId, Contract],
+    completion: bool,
+) -> ChoiceResult:
+    offer_set = frozenset(offers)
+    for cid in offer_set:
+        c = contracts.get(cid)
+        if c is None:
+            raise ForeignContract(f"unknown contract {cid} offered to branch {cfg.id}")
+        if c.branch != cfg.id:
+            raise ForeignContract(f"contract {cid} belongs to branch {c.branch}, not {cfg.id}")
+
+    per_slot: dict[SlotId, SlotFill] = {}
+    filled: dict[SlotId, int] = {}
+    chosen: list[ContractId] = []
+    taken_ids: set[ContractId] = set()
+    taken_agents: set[str] = set()
+
+    for slot in slot_order(cfg):
+        if slot.kind == ORIGINAL:
+            active = True
+        else:
+            # capacity arrives only if the paired original stayed vacant and
+            # the transfer bit allows it; l_k >= k guarantees the original
+            # was already processed
+            paired = cfg.original_slot(slot.index)
+            active = filled[paired] == 0 and cfg.transfer[slot.index - 1] == 1
+        pick: ContractId | None = None
+        if active:
+            for cid in cfg.priority(slot):
+                if cid not in offer_set or cid in taken_ids:
+                    continue
+                if not completion and contracts[cid].agent in taken_agents:
+                    continue
+                pick = cid
+                break
+        if slot.kind == ORIGINAL:
+            filled[slot] = 1 if pick is not None else 0
+        per_slot[slot] = SlotFill(pick, active)
+        if pick is not None:
+            chosen.append(pick)
+            taken_ids.add(pick)
+            taken_agents.add(contracts[pick].agent)
+
+    return ChoiceResult(frozenset(chosen), per_slot, filled)
+
+
+def branch_choice(inst: Instance, branch: BranchId, pool: Iterable[ContractId]) -> ChoiceResult:
+    return choose(inst.branches[branch], pool, inst.contract_index, completion=False)
+
+
+def cumulative_offer(inst: Instance, policy: str = POLICY_LEX, seed: int = 0) -> ComTrace:
+    """Run the cumulative offer process and return the full trace."""
+    if policy not in (POLICY_LEX, POLICY_RANDOM):
+        raise ValueError(f"unknown proposal policy {policy!r}")
+    rng = random.Random(seed)
+
+    pools: dict[BranchId, set[ContractId]] = {b: set() for b in inst.branches}
+    current: dict[BranchId, frozenset] = {b: frozenset() for b in inst.branches}
+    rejected: set[ContractId] = set()
+    steps: list[ComStep] = []
+
+    t = 0
+    while True:
+        held_agents = {
+            inst.contract_index[cid].agent for ch in current.values() for cid in ch
+        }
+        eligible: list[tuple[AgentId, ContractId]] = []
+        for agent in inst.agents:
+            if agent in held_agents:
+                continue
+            favorite = next(
+                (cid for cid in inst.preferences.get(agent, ()) if cid not in rejected),
+                None,
+            )
+            if favorite is not None:
+                eligible.append((agent, favorite))
+        if not eligible:
+            break
+
+        agent, cid = eligible[0] if policy == POLICY_LEX else rng.choice(eligible)
+        t += 1
+        branch = inst.contract_index[cid].branch
+        pools[branch].add(cid)
+        result = branch_choice(inst, branch, pools[branch])
+        current[branch] = result.chosen
+        rejected |= pools[branch] - result.chosen
+        verdict = "held" if cid in result.chosen else "rejected"
+        steps.append(
+            ComStep(t, agent, cid, verdict, {b: frozenset(p) for b, p in pools.items()})
+        )
+
+    outcome = frozenset().union(*current.values()) if current else frozenset()
+    return ComTrace(tuple(steps), outcome)
+
+
+def trace_to_json(trace: ComTrace) -> dict:
+    """The trace's JSON view, sorting every step's pools afresh."""
+    return {
+        "steps": [
+            {
+                "t": s.t,
+                "agent": s.agent,
+                "contract": s.contract,
+                "verdict": s.verdict,
+                "pools": {b: sorted(pool) for b, pool in s.pools.items()},
+            }
+            for s in trace.steps
+        ],
+        "outcome": sorted(trace.outcome),
+    }

@@ -135,6 +135,18 @@ class TestOracle:
     def test_requires_input(self, capsys):
         assert run_cli(capsys, "oracle")[0] == 2
 
+    def test_stability_suite_honours_bound(self, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        path.write_text(serialize_instance(make_instance(
+            [("x", "A", "b"), ("y", "B", "b"), ("z", "C", "b")],
+            {"A": ("x",), "B": ("y",), "C": ("z",)},
+            [branch(n=2, original=[("x", "y", "z"), ("z", "y")])],
+        )))
+        assert run_cli(capsys, "oracle", str(path), "--suite", "stability")[0] == 0
+        code, out, err = run_cli(capsys, "oracle", str(path), "--suite", "stability", "--bound", "2")
+        assert code == 2 and out == ""
+        assert "branch b has 3 contracts" in err and "capped at 2" in err
+
     def test_unknown_suite_exits_2(self, capsys):
         assert run_cli(capsys, "oracle", "--gen", "--suite", "bogus")[0] == 2
 

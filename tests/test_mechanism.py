@@ -100,6 +100,16 @@ class TestCumulativeOffer:
             inst = generate_instance(GeneratorConfig(seed=seed))
             replay_trace(inst, cumulative_offer(inst))
 
+    def test_steps_share_unchanged_pools(self):
+        # each step adds one pool object (the branch proposed to) and reuses
+        # the rest, so the trace's memory grows with the steps, not with
+        # steps x branches
+        for seed in range(10):
+            inst = generate_instance(GeneratorConfig(seed=seed, agents=12, branches=4))
+            trace = cumulative_offer(inst, policy="random", seed=seed)
+            distinct = {id(pool) for step in trace.steps for pool in step.pools.values()}
+            assert len(distinct) <= len(trace.steps) + len(inst.branches)
+
 
 class TestIndividualRationality:
     def test_empty_outcome(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -132,3 +133,24 @@ def test_generator_output_always_validates():
     for seed in range(25):
         inst = generate_instance(GeneratorConfig(seed=seed))
         assert validate_instance(inst).ok
+
+
+def test_replace_and_transfer_update_build_a_fresh_seat_plan():
+    inst = make_instance([], {}, [branch(n=2, location=(1, 2), transfer=(0, 1))])
+    cfg = inst.branches["b"]
+    assert [bit for _, _, bit, _ in cfg.seat_plan] == [0, 0, 1, 1]
+    flipped = inst.with_transfer_bit("b", 1, 1).branches["b"]
+    assert [bit for _, _, bit, _ in flipped.seat_plan] == [1, 1, 1, 1]
+    moved = dataclasses.replace(cfg, location=(2, 2))
+    assert [str(slot) for slot, _, _, _ in moved.seat_plan] == ["b:o1", "b:o2", "b:e1", "b:e2"]
+    assert [paired for _, paired, _, _ in moved.seat_plan] == [-1, -1, 0, 1]
+    assert [bit for _, _, bit, _ in cfg.seat_plan] == [0, 0, 1, 1]  # the original is untouched
+
+
+def test_equality_and_hash_ignore_the_cached_seat_plan():
+    planned = branch(n=2, location=(2, 2), transfer=(1, 0), original=[("x",), ()])
+    fresh = branch(n=2, location=(2, 2), transfer=(1, 0), original=[("x",), ()])
+    assert planned.seat_plan and "seat_plan" in vars(planned) and "seat_plan" not in vars(fresh)
+    assert planned == fresh
+    assert hash(planned) == hash(fresh)
+    assert dataclasses.replace(planned, transfer=(0, 0)) != fresh
