@@ -1,64 +1,6 @@
 """Slot-specific priority choice rules with capacity transfers, the
-cumulative offer mechanism over them, and property-checking oracles."""
+cumulative offer mechanism over them, and property-checking oracles.
 
-from .model import (
-    AgentPreference,
-    BranchConfig,
-    Contract,
-    Instance,
-    Outcome,
-    ParseError,
-    SlotId,
-    SlotPriority,
-    ValidationReport,
-    parse_instance,
-    serialize_instance,
-    validate_instance,
-)
-from .choice import (
-    ChoiceResult,
-    ForeignContract,
-    SlotSequence,
-    build_slot_sequence,
-    completion_choose,
-    rejected,
-    sspwct_choose,
-)
-from .mechanism import (
-    ComStep,
-    ComTrace,
-    InstanceTooLarge,
-    cumulative_offer,
-    find_blocking_set,
-    is_individually_rational,
-    is_stable,
-)
-from .oracles import (
-    PropertyVerdict,
-    check_completion,
-    check_irc,
-    check_lad,
-    check_order_independence,
-    check_respects_improvements,
-    check_slot_specific_reduction,
-    check_stability,
-    check_strategy_proofness,
-    check_substitutability,
-    generate_improvement,
-    is_priority_improvement,
-)
-from .comparative import (
-    AddedContract,
-    AlreadyFlexible,
-    ComparisonReport,
-    ConditionViolation,
-    ImprovementChainError,
-    PreconditionUnmet,
-    add_contracts,
-    add_original_slot,
-    flexibility_compare,
-    improvement_chain,
-)
-from .generator import GeneratorConfig, generate_batch, generate_instance
-
-__all__ = [name for name in dir() if not name.startswith("_")]
+Import from the defining modules: ``sspwct.model``, ``sspwct.choice``,
+``sspwct.mechanism``, ``sspwct.oracles``, ``sspwct.comparative``,
+``sspwct.generator`` and ``sspwct.cli``."""

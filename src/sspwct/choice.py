@@ -24,24 +24,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .model import (
-    BranchConfig,
-    BranchId,
-    Contract,
-    ContractId,
-    SeatPlanEntry,
-    SlotId,
-)
+from .model import BranchConfig, Contract, ContractId, SeatPlanEntry, SlotId
 
 
 class ForeignContract(ValueError):
     """An offered contract does not belong to the choosing branch."""
-
-
-@dataclass(frozen=True)
-class SlotSequence:
-    branch: BranchId
-    order: tuple[SlotId, ...]
 
 
 @dataclass(frozen=True)
@@ -54,20 +41,18 @@ class SlotFill:
 
 
 class ChoiceResult:
-    """A branch's choice: the ``chosen`` set, what each seat did
-    (``per_slot``) and which original seats were assigned (``filled``, 1 if
-    assigned).
+    """A branch's choice: the ``chosen`` set and what each seat did
+    (``per_slot``; an original seat was assigned iff its ``contract`` is set).
 
     The choice rule records one pick per entry of the branch's seat plan;
-    ``per_slot`` and ``filled`` are built from the picks when first read.
-    Passing them to the constructor, as custom rules do, sets them directly.
+    ``per_slot`` is built from the picks when first read.  Passing it to the
+    constructor, as custom rules do, sets it directly.
     """
 
     def __init__(
         self,
         chosen: frozenset,
         per_slot: Mapping[SlotId, SlotFill] | None = None,
-        filled: Mapping[SlotId, int] | None = None,
         *,
         plan: Sequence[SeatPlanEntry] = (),
         picks: Sequence[ContractId | None] = (),
@@ -77,8 +62,6 @@ class ChoiceResult:
         self._picks = picks
         if per_slot is not None:
             self.__dict__["per_slot"] = per_slot
-        if filled is not None:
-            self.__dict__["filled"] = filled
 
     @cached_property
     def per_slot(self) -> Mapping[SlotId, SlotFill]:
@@ -87,20 +70,6 @@ class ChoiceResult:
             slot: SlotFill(pick, paired < 0 or (bit == 1 and picks[paired] is None))
             for (slot, paired, bit, _), pick in zip(self._plan, picks)
         }
-
-    @cached_property
-    def filled(self) -> Mapping[SlotId, int]:
-        return {
-            slot: 1 if pick is not None else 0
-            for (slot, paired, _, _), pick in zip(self._plan, self._picks)
-            if paired < 0
-        }
-
-
-def build_slot_sequence(cfg: BranchConfig) -> SlotSequence:
-    """The processing order of the branch's seats (see
-    :attr:`BranchConfig.slot_order`, merged once per config)."""
-    return SlotSequence(cfg.id, cfg.slot_order)
 
 
 def _choose(
@@ -160,19 +129,3 @@ def completion_choose(
     contracts stay available after one of hers is taken."""
     return _choose(cfg, offers, contracts, completion=True)
 
-
-def rejected(
-    cfg: BranchConfig,
-    offers: Iterable[ContractId],
-    contracts: Mapping[ContractId, Contract],
-    rule: str = "sspwct",
-) -> frozenset:
-    """Offers minus the chosen set of the named rule."""
-    offer_set = frozenset(offers)
-    if rule == "sspwct":
-        result = sspwct_choose(cfg, offer_set, contracts)
-    elif rule == "completion":
-        result = completion_choose(cfg, offer_set, contracts)
-    else:
-        raise ValueError(f"unknown rule {rule!r}; expected 'sspwct' or 'completion'")
-    return offer_set - result.chosen

@@ -15,10 +15,10 @@ from typing import Sequence
 
 from . import comparative, generator, oracles
 from .mechanism import (
+    DEFAULT_BLOCKING_BOUND,
     InstanceTooLarge,
     cumulative_offer,
-    find_blocking_set,
-    is_individually_rational,
+    stability_report,
 )
 from .model import (
     Instance,
@@ -92,7 +92,7 @@ def _add_generator_flags(parser: argparse.ArgumentParser) -> None:
     g.add_argument("--transfer-density", type=float, default=0.5)
     g.add_argument(
         "--location-policy",
-        choices=[generator.LOCATION_ADJACENT, generator.LOCATION_TERMINAL, generator.LOCATION_RANDOM],
+        choices=generator.LOCATION_POLICIES,
         default=generator.LOCATION_RANDOM,
     )
     g.add_argument(
@@ -129,17 +129,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
     outcome = _load_outcome(args.outcome, inst)
-    rational = is_individually_rational(inst, outcome)
-    block = find_blocking_set(inst, outcome, bound=args.bound)
-    stable = rational and block is None
+    report = stability_report(inst, outcome, bound=args.bound)
+    block = report.blocking
     _emit(
         {
-            "individually_rational": rational,
+            "individually_rational": report.individually_rational,
             "blocking": None if block is None else {"branch": block[0], "contracts": sorted(block[1])},
-            "stable": stable,
+            "stable": report.stable,
         }
     )
-    return EXIT_OK if stable else EXIT_FAIL_VERDICT
+    return EXIT_OK if report.stable else EXIT_FAIL_VERDICT
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
@@ -178,7 +177,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         report = comparative.flexibility_compare(inst, branch, k)
         chain: dict = {"attempted": False, "matches_modified": None, "outcome": None}
         try:
-            chain_outcome = comparative.improvement_chain(inst, report.baseline, branch, k)
+            chain_outcome = comparative.improvement_chain(inst, report, branch, k)
             chain = {
                 "attempted": True,
                 "matches_modified": chain_outcome == report.modified,
@@ -253,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check an outcome file for stability")
     p_verify.add_argument("instance")
     p_verify.add_argument("outcome")
-    p_verify.add_argument("--bound", type=int, default=14)
+    p_verify.add_argument("--bound", type=int, default=DEFAULT_BLOCKING_BOUND)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_oracle = sub.add_parser("oracle", help="run property checks on an instance or a generated batch")

@@ -60,11 +60,17 @@ class ImprovementChainError(RuntimeError):
 
 @dataclass(frozen=True)
 class ComparisonReport:
+    """Both outcomes, the per-agent comparison and the verdict, plus each
+    run's final accumulated pools (the seat ledgers' source; not part of
+    :meth:`to_json`)."""
+
     baseline: Outcome
     modified: Outcome
     per_agent: Mapping[AgentId, str]
     protected: frozenset
     verdict: str
+    baseline_pools: Mapping[BranchId, frozenset]
+    modified_pools: Mapping[BranchId, frozenset]
 
     @property
     def strict_improvers(self) -> tuple[AgentId, ...]:
@@ -80,6 +86,13 @@ class ComparisonReport:
         }
 
 
+def _outcome_and_pools(inst: Instance) -> tuple[Outcome, Mapping[BranchId, frozenset]]:
+    """The mechanism's outcome and every branch's final accumulated pool."""
+    trace = cumulative_offer(inst)
+    pools = trace.steps[-1].pools if trace.steps else {b: frozenset() for b in inst.branches}
+    return trace.outcome, pools
+
+
 def compare_outcomes(
     base_inst: Instance,
     mod_inst: Instance,
@@ -91,8 +104,8 @@ def compare_outcomes(
     baseline rankings in every experiment here, so baseline contracts keep
     their relative order).  ``protected`` defaults to every agent.
     """
-    baseline = cumulative_offer(base_inst).outcome
-    modified = cumulative_offer(mod_inst).outcome
+    baseline, baseline_pools = _outcome_and_pools(base_inst)
+    modified, modified_pools = _outcome_and_pools(mod_inst)
     agents = sorted(set(base_inst.agents) | set(mod_inst.agents))
     if protected is None:
         protected = frozenset(agents)
@@ -112,7 +125,9 @@ def compare_outcomes(
         verdict = PARETO_DOMINATES
     else:
         verdict = WEAKLY_IMPROVES_FOR
-    return ComparisonReport(baseline, modified, per_agent, protected, verdict)
+    return ComparisonReport(
+        baseline, modified, per_agent, protected, verdict, baseline_pools, modified_pools
+    )
 
 
 # -- transfer flexibility (one bit 0 -> 1) --
@@ -145,7 +160,7 @@ def _slot_assignments(inst: Instance, pools: Mapping[BranchId, frozenset]) -> di
     return placed
 
 
-def improvement_chain(inst: Instance, baseline: Outcome, branch: BranchId, k: int) -> Outcome:
+def improvement_chain(inst: Instance, report: ComparisonReport, branch: BranchId, k: int) -> Outcome:
     """Reconstruct the modified outcome by walking the chain of reassignments
     that activating shadow seat k sets off.
 
@@ -155,21 +170,17 @@ def improvement_chain(inst: Instance, baseline: Outcome, branch: BranchId, k: in
     chain reaches an agent who previously held nothing.  Every step strictly
     improves one agent, so the walk terminates.
 
-    Seat assignments are read from each run's final accumulated pools.
+    ``report`` is :func:`flexibility_compare`'s report for the same
+    ``inst``, ``branch`` and ``k``; seat assignments are read from the final
+    accumulated pools of its two runs, so the mechanism does not run again.
     Raises :class:`PreconditionUnmet` when the activated shadow stays empty,
     and :class:`ImprovementChainError` instead of guessing when the walk
     cannot be completed from the recorded assignments.
     """
-    base_trace = cumulative_offer(inst)
-    if base_trace.outcome != frozenset(baseline):
-        raise PreconditionUnmet("baseline outcome does not match the mechanism's output")
+    baseline = report.baseline
     mod_inst = flip_transfer(inst, branch, k)
-    mod_trace = cumulative_offer(mod_inst)
-
-    base_pools = base_trace.steps[-1].pools if base_trace.steps else {b: frozenset() for b in inst.branches}
-    mod_pools = mod_trace.steps[-1].pools if mod_trace.steps else {b: frozenset() for b in mod_inst.branches}
-    base_slot_of = {cid: slot for slot, cid in _slot_assignments(inst, base_pools).items()}
-    mod_fill = _slot_assignments(mod_inst, mod_pools)
+    base_slot_of = {cid: slot for slot, cid in _slot_assignments(inst, report.baseline_pools).items()}
+    mod_fill = _slot_assignments(mod_inst, report.modified_pools)
 
     activated = SlotId(branch, SHADOW, k)
     x = mod_fill.get(activated)
@@ -212,7 +223,7 @@ def improvement_chain(inst: Instance, baseline: Outcome, branch: BranchId, k: in
             break
         x = x_next
 
-    return (frozenset(baseline) - frozenset(removed)) | frozenset(added)
+    return (baseline - frozenset(removed)) | frozenset(added)
 
 
 # -- capacity expansion (add an original seat) --
@@ -333,13 +344,10 @@ def apply_additions(
                 raise ConditionViolation(f"position {pos} out of range for slot {slot}")
             row.insert(pos, c.id)
 
-        new_cfg = BranchConfig(
-            cfg.id,
-            cfg.n,
-            cfg.location,
-            cfg.transfer,
-            tuple(tuple(r) for r in originals),
-            tuple(tuple(r) for r in shadows),
+        new_cfg = replace(
+            cfg,
+            original_priorities=tuple(tuple(r) for r in originals),
+            shadow_priorities=tuple(tuple(r) for r in shadows),
         )
         current = replace(
             current,

@@ -15,10 +15,15 @@ from .model import BranchConfig, Contract, Instance
 LOCATION_ADJACENT = "adjacent"
 LOCATION_TERMINAL = "terminal"
 LOCATION_RANDOM = "random"
+LOCATION_POLICIES = (LOCATION_ADJACENT, LOCATION_TERMINAL, LOCATION_RANDOM)
 
 
 @dataclass(frozen=True)
 class GeneratorConfig:
+    """Generator settings; ``capacity`` and ``contracts_per_pair`` are
+    inclusive (min, max) ranges.  An out-of-range field raises
+    :class:`ValueError` naming it."""
+
     seed: int = 0
     agents: int = 4
     branches: int = 2
@@ -29,19 +34,43 @@ class GeneratorConfig:
     location_policy: str = LOCATION_RANDOM
     ensure_acceptable: bool = True
 
+    def __post_init__(self) -> None:
+        problems = []
+        if self.agents < 1:
+            problems.append(f"agents must be at least 1 (got {self.agents})")
+        if self.branches < 1:
+            problems.append(f"branches must be at least 1 (got {self.branches})")
+        low, high = self.capacity
+        if not 1 <= low <= high:
+            problems.append(f"capacity must satisfy 1 <= min <= max (got min {low}, max {high})")
+        low, high = self.contracts_per_pair
+        if not 0 <= low <= high:
+            problems.append(
+                f"contracts_per_pair must satisfy 0 <= min <= max (got min {low}, max {high})"
+            )
+        for name in ("density", "transfer_density"):
+            value = getattr(self, name)
+            if not 0 <= value <= 1:
+                problems.append(f"{name} must lie in [0, 1] (got {value})")
+        if self.location_policy not in LOCATION_POLICIES:
+            problems.append(
+                f"location_policy must be one of {', '.join(LOCATION_POLICIES)} "
+                f"(got {self.location_policy!r})"
+            )
+        if problems:
+            raise ValueError("invalid generator config: " + "; ".join(problems))
+
 
 def _location_vector(n: int, policy: str, rng: random.Random) -> tuple[int, ...]:
     if policy == LOCATION_ADJACENT:
         return tuple(range(1, n + 1))
     if policy == LOCATION_TERMINAL:
         return (n,) * n
-    if policy == LOCATION_RANDOM:
-        loc: list[int] = []
-        for k in range(1, n + 1):
-            lower = max(k, loc[-1] if loc else 1)
-            loc.append(rng.randint(lower, n))
-        return tuple(loc)
-    raise ValueError(f"unknown location policy {policy!r}")
+    loc: list[int] = []  # LOCATION_RANDOM; GeneratorConfig admits no other policy
+    for k in range(1, n + 1):
+        lower = max(k, loc[-1] if loc else 1)
+        loc.append(rng.randint(lower, n))
+    return tuple(loc)
 
 
 def generate_instance(cfg: GeneratorConfig) -> Instance:

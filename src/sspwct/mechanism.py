@@ -24,8 +24,9 @@ dict that shares the previous step's frozensets except for the branch
 proposed to, so a trace holds one new pool per step instead of a copy of
 every pool.
 
-Stability is verified by brute force: individual rationality plus an
-exhaustive search over candidate blocking sets, feasible per branch.
+Stability is verified by brute force on one path, :func:`stability_report`:
+feasibility, individual rationality and an exhaustive search over candidate
+blocking sets, feasible per branch.
 """
 from __future__ import annotations
 
@@ -249,9 +250,31 @@ def _best_in(inst: Instance, agent: AgentId, contracts: Iterable[ContractId]) ->
     return best
 
 
-def is_stable(inst: Instance, outcome: Outcome, bound: int = DEFAULT_BLOCKING_BOUND) -> bool:
-    if outcome_violations(inst, outcome):
-        return False
-    if not is_individually_rational(inst, outcome):
-        return False
-    return find_blocking_set(inst, outcome, bound) is None
+@dataclass(frozen=True)
+class StabilityReport:
+    """The verdict of :func:`stability_report`.  ``violations`` lists the
+    outcome's feasibility problems; when there are any, neither IR nor the
+    blocking search runs (``individually_rational`` is False, ``blocking``
+    None).  ``blocking`` is a (branch, contract set) that blocks."""
+
+    violations: tuple[str, ...]
+    individually_rational: bool
+    blocking: tuple[BranchId, frozenset] | None
+
+    @property
+    def stable(self) -> bool:
+        return not self.violations and self.individually_rational and self.blocking is None
+
+
+def stability_report(
+    inst: Instance, outcome: Outcome, bound: int = DEFAULT_BLOCKING_BOUND
+) -> StabilityReport:
+    """Feasibility, then individual rationality and the exhaustive
+    blocking-set search; both of those run on every feasible outcome, so a
+    report on an outcome that is not IR still names a blocking set."""
+    violations = tuple(outcome_violations(inst, outcome))
+    if violations:
+        return StabilityReport(violations, False, None)
+    return StabilityReport(
+        (), is_individually_rational(inst, outcome), find_blocking_set(inst, outcome, bound)
+    )

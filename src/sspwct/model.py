@@ -63,18 +63,6 @@ class Contract:
     terms: str = ""
 
 
-@dataclass(frozen=True)
-class AgentPreference:
-    agent: AgentId
-    ranking: tuple[ContractId, ...]
-
-
-@dataclass(frozen=True)
-class SlotPriority:
-    slot: SlotId
-    ranking: tuple[ContractId, ...]
-
-
 def _tupled(rows: Iterable[Iterable[str]]) -> tuple[tuple[str, ...], ...]:
     return tuple(tuple(row) for row in rows)
 
@@ -120,9 +108,6 @@ class BranchConfig:
             raise KeyError(f"slot {slot} does not belong to branch {self.id}")
         rows = self.original_priorities if slot.kind == ORIGINAL else self.shadow_priorities
         return rows[slot.index - 1]
-
-    def slot_priorities(self) -> tuple[SlotPriority, ...]:
-        return tuple(SlotPriority(s, self.priority(s)) for s in self.slots())
 
     # Derived once per config, on first use (never in __init__, so building
     # instances stays cheap).  They live outside the dataclass fields:
@@ -240,9 +225,6 @@ class Instance:
         """True iff the agent strictly prefers ``a`` to ``b``."""
         return self.pref_value(agent, a) < self.pref_value(agent, b)
 
-    def agent_preferences(self) -> tuple[AgentPreference, ...]:
-        return tuple(AgentPreference(a, r) for a, r in self.preferences.items())
-
     # -- functional updates --
 
     def with_preference(self, agent: AgentId, ranking: Sequence[ContractId]) -> "Instance":
@@ -342,14 +324,15 @@ def validate_instance(inst: Instance) -> ValidationReport:
                 v.append(f"branch {b}: transfer bit at k={k} must be 0 or 1 (got {bit})")
         if len(cfg.original_priorities) != cfg.n or len(cfg.shadow_priorities) != cfg.n:
             continue
-        for sp in cfg.slot_priorities():
-            v.extend(_strict_order_violations(f"slot {sp.slot}", sp.ranking))
-            for cid in sp.ranking:
+        for slot in cfg.slots():
+            ranking = cfg.priority(slot)
+            v.extend(_strict_order_violations(f"slot {slot}", ranking))
+            for cid in ranking:
                 c = inst.contract_index.get(cid)
                 if c is None:
-                    v.append(f"slot {sp.slot}: unknown contract {cid}")
+                    v.append(f"slot {slot}: unknown contract {cid}")
                 elif c.branch != b:
-                    v.append(f"slot {sp.slot}: contract {cid} belongs to branch {c.branch}")
+                    v.append(f"slot {slot}: contract {cid} belongs to branch {c.branch}")
 
     return ValidationReport(tuple(v))
 

@@ -15,7 +15,7 @@ actually fires on deliberately corrupted rules.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, permutations
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -25,8 +25,7 @@ from .mechanism import (
     InstanceTooLarge,
     assigned_contract,
     cumulative_offer,
-    find_blocking_set,
-    is_individually_rational,
+    stability_report,
 )
 from .model import (
     ORIGINAL,
@@ -36,7 +35,6 @@ from .model import (
     Contract,
     ContractId,
     Instance,
-    outcome_violations,
     parse_instance,
     serialize_instance,
 )
@@ -272,14 +270,7 @@ def check_slot_specific_reduction(
     with the reference slot-specific rule on every offer set."""
     universe = _branch_universe(inst, branch, bound, "the reduction check")
     cfg = inst.branches[branch]
-    zeroed = BranchConfig(
-        cfg.id,
-        cfg.n,
-        cfg.location,
-        (0,) * cfg.n,
-        cfg.original_priorities,
-        cfg.shadow_priorities,
-    )
+    zeroed = replace(cfg, transfer=(0,) * cfg.n)
     checked = 0
     for offers in _all_subsets(universe):
         checked += 1
@@ -427,17 +418,10 @@ def generate_improvement(
             ranking.insert(rng.randrange(0, pos), cid)
         else:
             ranking.insert(rng.randint(0, len(ranking)), cid)
-        rows = list(cfg.original_priorities if slot.kind == ORIGINAL else cfg.shadow_priorities)
+        field = "original_priorities" if slot.kind == ORIGINAL else "shadow_priorities"
+        rows = list(getattr(cfg, field))
         rows[slot.index - 1] = tuple(ranking)
-        if slot.kind == ORIGINAL:
-            new_cfg = BranchConfig(
-                cfg.id, cfg.n, cfg.location, cfg.transfer, tuple(rows), cfg.shadow_priorities
-            )
-        else:
-            new_cfg = BranchConfig(
-                cfg.id, cfg.n, cfg.location, cfg.transfer, cfg.original_priorities, tuple(rows)
-            )
-        current = current.with_branch(new_cfg)
+        current = current.with_branch(replace(cfg, **{field: tuple(rows)}))
     return current
 
 
@@ -476,24 +460,22 @@ def check_respects_improvements(
 
 def check_stability(inst: Instance, bound: int = DEFAULT_BLOCKING_BOUND) -> PropertyVerdict:
     """The mechanism's outcome is feasible, individually rational, and
-    survives the exhaustive blocking-set search."""
+    survives the exhaustive blocking-set search (see
+    :func:`~sspwct.mechanism.stability_report`).  The witness names the first
+    of those that fails."""
     outcome = cumulative_offer(inst).outcome
-    problems = outcome_violations(inst, outcome)
-    if problems:
-        return _failed("stability", 1, {"outcome": sorted(outcome), "violations": problems})
-    if not is_individually_rational(inst, outcome):
-        return _failed(
-            "stability", 1, {"outcome": sorted(outcome), "violations": ["not individually rational"]}
-        )
-    block = find_blocking_set(inst, outcome, bound)
-    if block is not None:
-        branch, contracts = block
-        return _failed(
-            "stability",
-            1,
-            {"outcome": sorted(outcome), "blocking_branch": branch, "blocking_set": sorted(contracts)},
-        )
-    return _passed("stability", 1)
+    report = stability_report(inst, outcome, bound)
+    if report.stable:
+        return _passed("stability", 1)
+    witness: dict = {"outcome": sorted(outcome)}
+    if report.violations:
+        witness["violations"] = list(report.violations)
+    elif not report.individually_rational:
+        witness["violations"] = ["not individually rational"]
+    else:
+        branch, contracts = report.blocking
+        witness.update(blocking_branch=branch, blocking_set=sorted(contracts))
+    return _failed("stability", 1, witness)
 
 
 # -- order independence --

@@ -88,7 +88,7 @@ def choose(
             taken_ids.add(pick)
             taken_agents.add(contracts[pick].agent)
 
-    return ChoiceResult(frozenset(chosen), per_slot, filled)
+    return ChoiceResult(frozenset(chosen), per_slot)
 
 
 def branch_choice(inst: Instance, branch: BranchId, pool: Iterable[ContractId]) -> ChoiceResult:

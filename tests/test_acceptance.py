@@ -9,7 +9,7 @@ import random
 import time
 from dataclasses import replace
 
-from sspwct.choice import build_slot_sequence, sspwct_choose
+from sspwct.choice import sspwct_choose
 from sspwct.cli import main as cli_main
 from sspwct.comparative import (
     MODE_BOTTOM,
@@ -27,7 +27,7 @@ from sspwct.comparative import (
     random_slot_ranking,
 )
 from sspwct.generator import GeneratorConfig, generate_instance
-from sspwct.mechanism import cumulative_offer, is_stable
+from sspwct.mechanism import cumulative_offer, stability_report
 from sspwct.model import ORIGINAL, SHADOW, SlotId, parse_instance, validate_instance
 from sspwct.oracles import (
     check_completion,
@@ -78,11 +78,11 @@ def test_criterion_01_slot_sequence_fixtures():
     for location, expected in cases.items():
         cfg = branch(n=3, location=location, transfer=(1, 1, 1))
         best = min(
-            (lambda t0: (build_slot_sequence(cfg), time.perf_counter() - t0))(time.perf_counter())[1]
+            (lambda t0: (cfg.slot_order, time.perf_counter() - t0))(time.perf_counter())[1]
             for _ in range(5)
         )
         worst = max(worst, best)
-        order = build_slot_sequence(cfg).order
+        order = cfg.slot_order
         names = [("o" if s.kind == ORIGINAL else "e") + str(s.index) for s in order]
         ok = ok and names == expected
     ok = ok and worst < 0.001
@@ -182,7 +182,7 @@ def test_criterion_04_stability_of_mechanism_outcomes():
         inst = generate_instance(cfg)
         assert len(inst.contracts) <= 12
         outcome = cumulative_offer(inst).outcome
-        if not is_stable(inst, outcome):
+        if not stability_report(inst, outcome).stable:
             failures.append(23000 + seed)
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed < 300
@@ -255,7 +255,7 @@ def test_criterion_08_transfer_flexibility_and_chain():
         if rep.strict_improvers:
             strict += 1
         try:
-            chain = improvement_chain(inst, rep.baseline, b, k)
+            chain = improvement_chain(inst, rep, b, k)
         except PreconditionUnmet:
             continue
         chains += 1
@@ -292,13 +292,6 @@ def test_criterion_09a_capacity_expansion_never_hurts():
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed < 300
     assert report(9, "added seat never hurts", ok, f"200 instances, {elapsed:.1f}s"), failures[:1]
-
-
-def _seat_ledger(inst):
-    """Seat -> contract, read off each branch's choice from its final COM pool."""
-    trace = cumulative_offer(inst)
-    pools = trace.steps[-1].pools if trace.steps else {b: frozenset() for b in inst.branches}
-    return _slot_assignments(inst, pools)
 
 
 def _zero_transfers(inst):
@@ -352,8 +345,9 @@ def test_criterion_09b_bottom_contract_additions_never_hurt():
                             f"bit zeroed: {zeroed.to_json()}")
 
         if hurt:
-            before = _seat_ledger(inst)
-            after = _seat_ledger(apply_additions(inst, adds, MODE_BOTTOM))
+            # seat -> contract, read off each branch's choice from its final COM pool
+            before = _slot_assignments(inst, rep.baseline_pools)
+            after = _slot_assignments(apply_additions(inst, adds, MODE_BOTTOM), rep.modified_pools)
             enabled = [
                 (b, k) for b, cfg in sorted(inst.branches.items())
                 for k, bit in enumerate(cfg.transfer, start=1) if bit == 1

@@ -1,20 +1,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sspwct.choice import (
-    ForeignContract,
-    build_slot_sequence,
-    completion_choose,
-    rejected,
-    sspwct_choose,
-)
+from sspwct.choice import ForeignContract, completion_choose, sspwct_choose
 from sspwct.model import ORIGINAL, Contract, Instance
 
 from conftest import branch, make_instance
 
 
 def seq_names(cfg):
-    order = build_slot_sequence(cfg).order
+    order = cfg.slot_order
     return [("o" if s.kind == ORIGINAL else "e") + str(s.index) for s in order]
 
 
@@ -30,7 +24,7 @@ class TestSlotSequence:
 
     def test_each_slot_exactly_once_and_pairs_ordered(self):
         cfg = branch(n=4, location=(2, 2, 4, 4))
-        order = build_slot_sequence(cfg).order
+        order = cfg.slot_order
         assert len(order) == 8 and len(set(order)) == 8
         for k in range(1, 5):
             assert order.index(cfg.original_slot(k)) < order.index(cfg.shadow_slot(k))
@@ -54,14 +48,14 @@ class TestSspwctChoose:
         inst = gate_instance(1)
         result = sspwct_choose(inst.branches["b"], set(), inst.contract_index)
         assert result.chosen == frozenset()
-        assert all(v == 0 for v in result.filled.values())
+        assert all(fill.contract is None for fill in result.per_slot.values())
 
     def test_vacancy_transfers_when_bit_set(self):
         inst = gate_instance(1)
         cfg = inst.branches["b"]
         result = sspwct_choose(cfg, {"y"}, inst.contract_index)
         assert result.chosen == frozenset({"y"})
-        assert result.filled[cfg.original_slot(1)] == 0
+        assert result.per_slot[cfg.original_slot(1)].contract is None
         assert result.per_slot[cfg.shadow_slot(1)].contract == "y"
         assert result.per_slot[cfg.shadow_slot(1)].active
 
@@ -131,13 +125,15 @@ class TestCompletion:
 
 
 class TestRejected:
+    """What a rule rejects is the offer set minus its chosen set."""
+
     def test_empty(self):
         inst = gate_instance(1)
-        assert rejected(inst.branches["b"], set(), inst.contract_index) == frozenset()
+        assert sspwct_choose(inst.branches["b"], set(), inst.contract_index).chosen == frozenset()
 
     def test_singleton_acceptable_offer_rejects_nothing(self):
         inst = gate_instance(1)
-        assert rejected(inst.branches["b"], {"x"}, inst.contract_index) == frozenset()
+        assert sspwct_choose(inst.branches["b"], {"x"}, inst.contract_index).chosen == {"x"}
 
     def test_all_but_one_contract_of_single_agent_rejected(self):
         # Example-1 shaped branch; one agent offers all three of her contracts
@@ -154,14 +150,13 @@ class TestRejected:
                 )
             ],
         )
-        got = rejected(inst.branches["b"], {"c1", "c2", "c3"}, inst.contract_index)
-        assert got == {"c2", "c3"}
+        got = sspwct_choose(inst.branches["b"], {"c1", "c2", "c3"}, inst.contract_index)
+        assert got.chosen == {"c1"}
 
     def test_completion_rule_variant(self):
         inst = TestCompletion().duplicate_instance()
-        assert rejected(inst.branches["b"], {"x1", "x2"}, inst.contract_index, rule="completion") == frozenset()
-        with pytest.raises(ValueError):
-            rejected(inst.branches["b"], set(), inst.contract_index, rule="nope")
+        got = completion_choose(inst.branches["b"], {"x1", "x2"}, inst.contract_index)
+        assert got.chosen == {"x1", "x2"}
 
 
 # -- property tests over random branch configurations --
@@ -213,10 +208,10 @@ def test_choice_invariants(market):
     for k in range(1, cfg.n + 1):
         fill = result.per_slot[cfg.shadow_slot(k)]
         if fill.contract is not None:
-            assert result.filled[cfg.original_slot(k)] == 0
+            assert result.per_slot[cfg.original_slot(k)].contract is None
             assert cfg.transfer[k - 1] == 1
-        assert fill.active == (result.filled[cfg.original_slot(k)] == 0 and cfg.transfer[k - 1] == 1)
-    assert rejected(cfg, offers, inst.contract_index) == offers - result.chosen
+        vacant = result.per_slot[cfg.original_slot(k)].contract is None
+        assert fill.active == (vacant and cfg.transfer[k - 1] == 1)
 
 
 @settings(max_examples=200, deadline=None)

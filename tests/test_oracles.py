@@ -2,14 +2,10 @@ from dataclasses import replace
 
 import pytest
 
-from sspwct.choice import (
-    ChoiceResult,
-    build_slot_sequence,
-    completion_choose,
-    sspwct_choose,
-)
+from sspwct.choice import ChoiceResult, SlotFill, completion_choose, sspwct_choose
 from sspwct.generator import GeneratorConfig, generate_instance
-from sspwct.mechanism import InstanceTooLarge, cumulative_offer
+from sspwct import oracles
+from sspwct.mechanism import ComTrace, InstanceTooLarge, cumulative_offer
 from sspwct.model import ORIGINAL
 from sspwct.oracles import (
     check_completion,
@@ -39,23 +35,20 @@ def no_guard_completion(cfg, offers, contracts):
     set, ignoring whether the paired original seat filled."""
     offer_set = frozenset(offers)
     per_slot = {}
-    filled = {}
     chosen = []
     taken = set()
-    for slot in build_slot_sequence(cfg).order:
+    for slot in cfg.slot_order:
         active = slot.kind == ORIGINAL or cfg.transfer[slot.index - 1] == 1
         pick = None
         if active:
             pick = next(
                 (c for c in cfg.priority(slot) if c in offer_set and c not in taken), None
             )
-        if slot.kind == ORIGINAL:
-            filled[slot] = 1 if pick else 0
-        per_slot[slot] = None
+        per_slot[slot] = SlotFill(pick, active)
         if pick:
             chosen.append(pick)
             taken.add(pick)
-    return ChoiceResult(frozenset(chosen), per_slot, filled)
+    return ChoiceResult(frozenset(chosen), per_slot)
 
 
 def parity_flipping_rule(cfg, offers, contracts):
@@ -289,6 +282,26 @@ class TestOrderIndependenceAndStability:
             inst = generate_instance(GeneratorConfig(seed=500 + seed))
             assert check_order_independence(inst, seeds=list(range(1, 6))).ok
             assert check_stability(inst).ok
+
+    @pytest.mark.parametrize("outcome, witness", [
+        ({"x", "x2"}, {"violations": ["outcome: agent A holds 2 contracts"]}),
+        ({"y"}, {"violations": ["not individually rational"]}),
+        (set(), {"blocking_branch": "b", "blocking_set": ["x"]}),
+    ])
+    def test_stability_witness_names_first_failing_check(self, monkeypatch, outcome, witness):
+        # B holds y although y is unacceptable to her, and A's x blocks both
+        # y and the empty outcome; A's two contracts make {x, x2} infeasible
+        inst = make_instance(
+            [("x", "A", "b"), ("x2", "A", "b"), ("y", "B", "b")],
+            {"A": ("x", "x2"), "B": ()},
+            [branch(n=2, location=(2, 2), original=[("x", "y"), ("x2",)])],
+        )
+        monkeypatch.setattr(
+            oracles, "cumulative_offer", lambda inst: ComTrace((), frozenset(outcome))
+        )
+        verdict = check_stability(inst)
+        assert not verdict.ok
+        assert verdict.witness == {"outcome": sorted(outcome), **witness}
 
 
 class TestSuiteRunner:
