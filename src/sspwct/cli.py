@@ -62,7 +62,7 @@ def _load_outcome(path: str, inst: Instance) -> frozenset:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: undecodable or malformed JSON
         raise _CommandError(f"cannot read outcome {path}: {exc}")
     # accept both a bare outcome file and the run command's own output
     if not isinstance(doc, dict) or ("assignment" not in doc and "outcome" not in doc):
@@ -103,17 +103,25 @@ def _add_generator_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _generator_config(args: argparse.Namespace) -> generator.GeneratorConfig:
-    return generator.GeneratorConfig(
-        seed=args.seed,
-        agents=args.agents,
-        branches=args.branches,
-        capacity=(args.cap_min, args.cap_max),
-        contracts_per_pair=(args.contracts_min, args.contracts_max),
-        density=args.density,
-        transfer_density=args.transfer_density,
-        location_policy=args.location_policy,
-        ensure_acceptable=not args.allow_empty_prefs,
-    )
+    try:
+        return generator.GeneratorConfig(
+            seed=args.seed,
+            agents=args.agents,
+            branches=args.branches,
+            capacity=(args.cap_min, args.cap_max),
+            contracts_per_pair=(args.contracts_min, args.contracts_max),
+            density=args.density,
+            transfer_density=args.transfer_density,
+            location_policy=args.location_policy,
+            ensure_acceptable=not args.allow_empty_prefs,
+        )
+    except ValueError as exc:  # the config names the out-of-range fields
+        raise _CommandError(str(exc))
+
+
+def _require_count(count: int) -> None:
+    if count < 1:
+        raise _CommandError(f"--count must be at least 1 (got {count})")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -144,13 +152,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.instance is not None and args.gen:
         raise _CommandError("give either an instance file or --gen, not both")
-    if args.instance is not None:
-        instances = [_load_instance(args.instance)]
-    elif args.gen:
-        instances = generator.generate_batch(_generator_config(args), args.count)
-    else:
+    if args.instance is None and not args.gen:
         raise _CommandError("oracle needs an instance file or --gen")
     suites = [s.strip() for s in args.suite.split(",") if s.strip()]
+    if not suites:
+        raise _CommandError("--suite names no suite")
+    try:
+        oracles.requested_suites(suites)
+    except ValueError as exc:
+        raise _CommandError(str(exc))
+    if args.gen:
+        _require_count(args.count)
+        instances = generator.generate_batch(_generator_config(args), args.count)
+    else:
+        instances = [_load_instance(args.instance)]
     verdicts = oracles.run_suite(
         instances, suites, trials=args.trials, seed=args.seed, bound=args.bound, jobs=args.jobs
     )
@@ -168,10 +183,19 @@ def _pick_zero_bit(inst: Instance) -> tuple[str, int]:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
+    if args.branch is not None and args.branch not in inst.branches:
+        raise _CommandError(
+            f"unknown branch {args.branch!r}; the instance has {', '.join(inst.branches)}"
+        )
+    if args.agent is not None and args.agent not in inst.agents:
+        raise _CommandError(f"unknown agent {args.agent!r}")
     rng = random.Random(args.seed)
     if args.theorem == 3:
         if args.branch is not None and args.slot is not None:
             branch, k = args.branch, args.slot
+            n = inst.branches[branch].n
+            if not 1 <= k <= n:
+                raise _CommandError(f"slot index {k} out of range for branch {branch} (n={n})")
         else:
             branch, k = _pick_zero_bit(inst)
         report = comparative.flexibility_compare(inst, branch, k)
@@ -194,6 +218,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
     if args.theorem == 4:
         branch = args.branch if args.branch is not None else sorted(inst.branches)[0]
+        n = inst.branches[branch].n
+        if args.position is not None and not 1 <= args.position <= n + 1:
+            raise _CommandError(f"position {args.position} out of range for branch {branch} (n={n})")
         ranking = comparative.random_slot_ranking(inst, branch, rng)
         report = comparative.add_original_slot(inst, branch, ranking, args.position)
         payload = report.to_json()
@@ -201,6 +228,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         _emit(payload)
         return EXIT_FAIL_VERDICT if report.verdict == comparative.VIOLATES else EXIT_OK
 
+    _require_count(args.count)
     mode = comparative.MODE_BOTTOM if args.theorem == 5 else comparative.MODE_SINGLE_AGENT
     additions = comparative.random_added_contracts(
         inst, rng, mode, count=args.count, agent=args.agent
@@ -262,7 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--suite", default="all", help="comma-separated: " + ",".join(oracles.ALL_SUITES))
     p_oracle.add_argument("--trials", type=int, default=20)
     p_oracle.add_argument("--seed", type=int, default=0)
-    p_oracle.add_argument("--bound", type=int, default=8, help="exhaustive enumeration cap per branch")
+    p_oracle.add_argument(
+        "--bound", type=int, default=oracles.EXHAUSTIVE_BOUND, help="exhaustive enumeration cap per branch"
+    )
     p_oracle.add_argument("--jobs", type=int, default=1)
     _add_generator_flags(p_oracle)
     p_oracle.set_defaults(func=_cmd_oracle)
@@ -295,7 +325,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _CommandError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
-    except (ParseError, InstanceTooLarge, comparative.AlreadyFlexible, ValueError) as exc:
+    except (ParseError, InstanceTooLarge, comparative.AlreadyFlexible) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INVALID
 

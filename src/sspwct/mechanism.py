@@ -59,25 +59,6 @@ class ComStep:
     verdict: str  # "held" or "rejected"
     pools: Mapping[BranchId, frozenset]
 
-    def to_json(self, sorted_pools: dict[int, list] | None = None) -> dict:
-        """JSON view of the step.  ``sorted_pools`` memoizes sorted pools by
-        object identity; it is valid only while those pools are alive, and
-        the lists it hands out are shared between steps."""
-        memo = {} if sorted_pools is None else sorted_pools
-        pools = {}
-        for b, pool in self.pools.items():
-            key = id(pool)
-            if key not in memo:
-                memo[key] = sorted(pool)
-            pools[b] = memo[key]
-        return {
-            "t": self.t,
-            "agent": self.agent,
-            "contract": self.contract,
-            "verdict": self.verdict,
-            "pools": pools,
-        }
-
 
 @dataclass(frozen=True)
 class ComTrace:
@@ -86,12 +67,32 @@ class ComTrace:
 
     def to_json(self) -> dict:
         """Steps share their unchanged pools, so each distinct pool is sorted
-        once per call."""
+        once per call (memoized by object identity while the trace is alive;
+        the sorted lists are shared between steps)."""
         sorted_pools: dict[int, list] = {}
-        return {
-            "steps": [s.to_json(sorted_pools) for s in self.steps],
-            "outcome": sorted(self.outcome),
-        }
+        steps = []
+        for s in self.steps:
+            pools = {}
+            for b, pool in s.pools.items():
+                if id(pool) not in sorted_pools:
+                    sorted_pools[id(pool)] = sorted(pool)
+                pools[b] = sorted_pools[id(pool)]
+            steps.append({
+                "t": s.t, "agent": s.agent, "contract": s.contract, "verdict": s.verdict, "pools": pools,
+            })
+        return {"steps": steps, "outcome": sorted(self.outcome)}
+
+
+def branch_universe(inst: Instance, branch: BranchId, bound: int, what: str) -> tuple[ContractId, ...]:
+    """The branch's contracts, for an enumeration over their subsets; raises
+    :class:`InstanceTooLarge` when there are more than ``bound``."""
+    universe = inst.contracts_of_branch.get(branch, ())
+    if len(universe) > bound:
+        raise InstanceTooLarge(
+            f"branch {branch} has {len(universe)} contracts; {what} is exhaustive "
+            f"and capped at {bound}"
+        )
+    return universe
 
 
 def branch_choice(inst: Instance, branch: BranchId, pool: Iterable[ContractId]) -> ChoiceResult:
@@ -200,12 +201,7 @@ def find_blocking_set(
     condition outright).
     """
     for branch in inst.branches:
-        universe = inst.contracts_of_branch.get(branch, ())
-        if len(universe) > bound:
-            raise InstanceTooLarge(
-                f"branch {branch} has {len(universe)} contracts; blocking "
-                f"enumeration is capped at {bound}"
-            )
+        universe = branch_universe(inst, branch, bound, "blocking enumeration")
         cfg = inst.branches[branch]
         out_b = _branch_part(inst, outcome, branch)
         base = branch_choice(inst, branch, out_b).chosen

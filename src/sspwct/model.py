@@ -389,11 +389,9 @@ def parse_instance(text: str | bytes) -> Instance:
     Structural problems raise :class:`ParseError` naming the field; semantic
     invariants are left to :func:`validate_instance`.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except ValueError as exc:  # undecodable bytes as well as malformed JSON
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top level: expected an object")

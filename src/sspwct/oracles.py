@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import combinations, permutations
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -24,25 +25,17 @@ from .mechanism import (
     DEFAULT_BLOCKING_BOUND,
     InstanceTooLarge,
     assigned_contract,
+    branch_universe,
     cumulative_offer,
     stability_report,
 )
-from .model import (
-    ORIGINAL,
-    AgentId,
-    BranchConfig,
-    BranchId,
-    Contract,
-    ContractId,
-    Instance,
-    parse_instance,
-    serialize_instance,
-)
+from .model import ORIGINAL, AgentId, BranchConfig, BranchId, Contract, ContractId, Instance
 
 ChoiceRule = Callable[[BranchConfig, Iterable[ContractId], Mapping[ContractId, Contract]], ChoiceResult]
 
-COMPLETION_BOUND = 8
-EXHAUSTIVE_BOUND = 7
+#: Cap on a branch's contract universe for the per-branch checks, which
+#: enumerate all of its subsets.
+EXHAUSTIVE_BOUND = 8
 MISREPORT_BOUND = 4
 
 
@@ -65,10 +58,6 @@ class PropertyVerdict:
             "instances_checked": self.instances_checked,
         }
 
-    @classmethod
-    def from_json(cls, doc: Mapping) -> "PropertyVerdict":
-        return cls(doc["property"], doc["status"], doc["witness"], doc["instances_checked"])
-
 
 def _passed(name: str, checked: int) -> PropertyVerdict:
     return PropertyVerdict(name, "pass", None, checked)
@@ -86,29 +75,23 @@ def merge_verdicts(name: str, verdicts: Sequence[PropertyVerdict]) -> PropertyVe
     return _passed(name, checked)
 
 
-def _branch_universe(inst: Instance, branch: BranchId, bound: int, what: str) -> tuple[ContractId, ...]:
-    universe = inst.contracts_of_branch.get(branch, ())
-    if len(universe) > bound:
-        raise InstanceTooLarge(
-            f"branch {branch} has {len(universe)} contracts; {what} is exhaustive "
-            f"and capped at {bound}"
-        )
-    return universe
-
-
-def _all_subsets(universe: Sequence[ContractId]) -> Iterator[frozenset]:
-    for size in range(len(universe) + 1):
-        for combo in combinations(universe, size):
-            yield frozenset(combo)
-
-
 def _chosen_table(
-    inst: Instance, branch: BranchId, universe: Sequence[ContractId], rule: ChoiceRule
+    inst: Instance,
+    branch: BranchId,
+    bound: int,
+    what: str,
+    rule: ChoiceRule,
+    cfg: BranchConfig | None = None,
 ) -> dict[frozenset, frozenset]:
-    cfg = inst.branches[branch]
+    """What ``rule`` chooses from every subset of the branch's contracts
+    (``cfg`` defaults to the branch's own configuration), keyed by offer set
+    in enumeration order: by size, then lexicographically."""
+    universe = branch_universe(inst, branch, bound, what)
+    cfg = inst.branches[branch] if cfg is None else cfg
     return {
         offers: rule(cfg, offers, inst.contract_index).chosen
-        for offers in _all_subsets(universe)
+        for size in range(len(universe) + 1)
+        for offers in map(frozenset, combinations(universe, size))
     }
 
 
@@ -118,19 +101,16 @@ def _chosen_table(
 def check_completion(
     inst: Instance,
     branch: BranchId,
-    bound: int = COMPLETION_BOUND,
+    bound: int = EXHAUSTIVE_BOUND,
     rule: ChoiceRule = sspwct_choose,
     completion_rule: ChoiceRule = completion_choose,
 ) -> PropertyVerdict:
     """For every offer set, the completion either agrees with the base rule
     or holds two contracts of one agent."""
-    universe = _branch_universe(inst, branch, bound, "the completion check")
-    cfg = inst.branches[branch]
-    checked = 0
-    for offers in _all_subsets(universe):
-        checked += 1
-        base = rule(cfg, offers, inst.contract_index).chosen
-        comp = completion_rule(cfg, offers, inst.contract_index).chosen
+    table = _chosen_table(inst, branch, bound, "the completion check", rule)
+    completed = _chosen_table(inst, branch, bound, "the completion check", completion_rule)
+    for checked, (offers, base) in enumerate(table.items(), start=1):
+        comp = completed[offers]
         if comp == base:
             continue
         agents = [inst.contract_index[c].agent for c in comp]
@@ -146,7 +126,7 @@ def check_completion(
                 "completion": sorted(comp),
             },
         )
-    return _passed("completion", checked)
+    return _passed("completion", len(table))
 
 
 def check_substitutability(
@@ -157,8 +137,8 @@ def check_substitutability(
 ) -> PropertyVerdict:
     """Once rejected, always rejected: z out of C(Y + z) implies z out of
     C(Y + z + z'), for every Y, z, z'."""
-    universe = _branch_universe(inst, branch, bound, "the substitutability check")
-    table = _chosen_table(inst, branch, universe, rule)
+    table = _chosen_table(inst, branch, bound, "the substitutability check", rule)
+    universe = inst.contracts_of_branch.get(branch, ())
     checked = 0
     for offers, chosen in table.items():
         for z in offers - chosen:
@@ -188,8 +168,7 @@ def check_irc(
     rule: ChoiceRule = completion_choose,
 ) -> PropertyVerdict:
     """Dropping a rejected contract never changes the chosen set."""
-    universe = _branch_universe(inst, branch, bound, "the IRC check")
-    table = _chosen_table(inst, branch, universe, rule)
+    table = _chosen_table(inst, branch, bound, "the IRC check", rule)
     checked = 0
     for offers, chosen in table.items():
         for x in offers - chosen:
@@ -217,8 +196,7 @@ def check_lad(
 ) -> PropertyVerdict:
     """Law of aggregate demand over one-element extensions, which implies
     the general nested-pair statement by induction."""
-    universe = _branch_universe(inst, branch, bound, "the LAD check")
-    table = _chosen_table(inst, branch, universe, rule)
+    table = _chosen_table(inst, branch, bound, "the LAD check", rule)
     checked = 0
     for offers, chosen in table.items():
         for x in offers:
@@ -245,12 +223,13 @@ def slot_specific_reference(
     cfg: BranchConfig,
     offers: Iterable[ContractId],
     contracts: Mapping[ContractId, Contract],
-) -> frozenset:
+) -> ChoiceResult:
     """Independently coded slot-specific priorities rule: original seats
     only, in precedence order, each taking its best remaining contract and
     knocking out the chosen agent's other contracts.  Kept deliberately
     separate from the main implementation so the all-zero-transfer reduction
-    has a second opinion."""
+    has a second opinion.  Only ``chosen`` is recorded (``per_slot`` is
+    empty)."""
     offer_set = frozenset(offers)
     chosen: list[ContractId] = []
     taken_agents: set[str] = set()
@@ -260,7 +239,7 @@ def slot_specific_reference(
                 chosen.append(cid)
                 taken_agents.add(contracts[cid].agent)
                 break
-    return frozenset(chosen)
+    return ChoiceResult(frozenset(chosen))
 
 
 def check_slot_specific_reduction(
@@ -268,15 +247,13 @@ def check_slot_specific_reduction(
 ) -> PropertyVerdict:
     """With every transfer bit forced to zero the full rule must coincide
     with the reference slot-specific rule on every offer set."""
-    universe = _branch_universe(inst, branch, bound, "the reduction check")
     cfg = inst.branches[branch]
     zeroed = replace(cfg, transfer=(0,) * cfg.n)
-    checked = 0
-    for offers in _all_subsets(universe):
-        checked += 1
-        ours = sspwct_choose(zeroed, offers, inst.contract_index).chosen
-        reference = slot_specific_reference(zeroed, offers, inst.contract_index)
-        if ours != reference:
+    what = "the reduction check"
+    table = _chosen_table(inst, branch, bound, what, sspwct_choose, zeroed)
+    reference = _chosen_table(inst, branch, bound, what, slot_specific_reference, zeroed)
+    for checked, (offers, ours) in enumerate(table.items(), start=1):
+        if ours != reference[offers]:
             return _failed(
                 "slot-specific-reduction",
                 checked,
@@ -284,10 +261,10 @@ def check_slot_specific_reduction(
                     "branch": branch,
                     "offers": sorted(offers),
                     "sspwct": sorted(ours),
-                    "reference": sorted(reference),
+                    "reference": sorted(reference[offers]),
                 },
             )
-    return _passed("slot-specific-reduction", checked)
+    return _passed("slot-specific-reduction", len(table))
 
 
 # -- strategy-proofness --
@@ -504,17 +481,42 @@ def check_order_independence(inst: Instance, seeds: Sequence[int]) -> PropertyVe
 
 # -- suite runner --
 
-ALL_SUITES = (
-    "completion",
-    "substitutability",
-    "irc",
-    "lad",
-    "reduction",
-    "stability",
-    "strategy-proofness",
-    "improvements",
-    "order-independence",
-)
+#: suite name -> its checks on one instance, given (inst, trials, seed,
+#: bound).  Each entry calls its ``check_*`` through the module global when
+#: it runs, so a rebinding of that global (as a tracer or a test makes)
+#: reaches every suite run.
+_SUITES: dict[str, Callable[[Instance, int, int, int], list[PropertyVerdict]]] = {
+    "completion": lambda inst, trials, seed, bound: [
+        check_completion(inst, b, bound) for b in inst.branches
+    ],
+    "substitutability": lambda inst, trials, seed, bound: [
+        check_substitutability(inst, b, bound) for b in inst.branches
+    ],
+    "irc": lambda inst, trials, seed, bound: [check_irc(inst, b, bound) for b in inst.branches],
+    "lad": lambda inst, trials, seed, bound: [check_lad(inst, b, bound) for b in inst.branches],
+    "reduction": lambda inst, trials, seed, bound: [
+        check_slot_specific_reduction(inst, b, bound) for b in inst.branches
+    ],
+    "stability": lambda inst, trials, seed, bound: [check_stability(inst, bound)],
+    "strategy-proofness": lambda inst, trials, seed, bound: [check_strategy_proofness(inst)],
+    "improvements": lambda inst, trials, seed, bound: [
+        check_respects_improvements(inst, agent, max(1, trials // max(1, len(inst.agents))), seed)
+        for agent in inst.agents
+    ],
+    "order-independence": lambda inst, trials, seed, bound: [
+        check_order_independence(inst, list(range(seed + 1, seed + 1 + trials)))
+    ],
+}
+ALL_SUITES = tuple(_SUITES)
+
+
+def requested_suites(names: Sequence[str]) -> list[str]:
+    """The suites ``names`` asks for, ``"all"`` standing for every suite;
+    an unknown name raises :class:`ValueError`."""
+    unknown = [s for s in names if s != "all" and s not in _SUITES]
+    if unknown:
+        raise ValueError(f"unknown suite {unknown[0]!r}; expected one of {ALL_SUITES}")
+    return list(ALL_SUITES) if "all" in names else list(names)
 
 
 def run_suite_on_instance(
@@ -522,44 +524,10 @@ def run_suite_on_instance(
     suites: Sequence[str],
     trials: int = 20,
     seed: int = 0,
-    bound: int = COMPLETION_BOUND,
+    bound: int = EXHAUSTIVE_BOUND,
 ) -> list[PropertyVerdict]:
     """All requested checks on one instance (config checks run per branch)."""
-    verdicts: list[PropertyVerdict] = []
-    for suite in suites:
-        if suite == "completion":
-            verdicts += [check_completion(inst, b, bound) for b in inst.branches]
-        elif suite == "substitutability":
-            verdicts += [check_substitutability(inst, b, bound) for b in inst.branches]
-        elif suite == "irc":
-            verdicts += [check_irc(inst, b, bound) for b in inst.branches]
-        elif suite == "lad":
-            verdicts += [check_lad(inst, b, bound) for b in inst.branches]
-        elif suite == "reduction":
-            verdicts += [check_slot_specific_reduction(inst, b, bound) for b in inst.branches]
-        elif suite == "stability":
-            verdicts.append(check_stability(inst, bound))
-        elif suite == "strategy-proofness":
-            verdicts.append(check_strategy_proofness(inst))
-        elif suite == "improvements":
-            per_agent = max(1, trials // max(1, len(inst.agents)))
-            verdicts += [
-                check_respects_improvements(inst, agent, per_agent, seed)
-                for agent in inst.agents
-            ]
-        elif suite == "order-independence":
-            verdicts.append(
-                check_order_independence(inst, list(range(seed + 1, seed + 1 + trials)))
-            )
-        else:
-            raise ValueError(f"unknown suite {suite!r}; expected one of {ALL_SUITES}")
-    return verdicts
-
-
-def _suite_worker(payload: tuple[str, tuple[str, ...], int, int, int]) -> list[dict]:
-    text, suites, trials, seed, bound = payload
-    inst = parse_instance(text)
-    return [v.to_json() for v in run_suite_on_instance(inst, suites, trials, seed, bound)]
+    return [v for suite in suites for v in _SUITES[suite](inst, trials, seed, bound)]
 
 
 def run_suite(
@@ -567,33 +535,27 @@ def run_suite(
     suites: Sequence[str],
     trials: int = 20,
     seed: int = 0,
-    bound: int = COMPLETION_BOUND,
+    bound: int = EXHAUSTIVE_BOUND,
     jobs: int = 1,
 ) -> list[PropertyVerdict]:
-    """Run the requested suites over a batch, merging verdicts per property.
+    """Run the requested suites (see :func:`requested_suites`) over a batch,
+    merging verdicts per property; an unknown suite name raises before any
+    instance runs.
 
     With ``jobs > 1`` the per-instance work fans out to a process pool;
-    every check is a pure function of an immutable instance, so only the
-    instance text crosses the process boundary.
+    every check is a pure function of an immutable instance, so the workers
+    receive pickled instances and return their verdicts.
     """
-    requested = list(ALL_SUITES) if "all" in suites else list(suites)
+    run_one = partial(
+        run_suite_on_instance, suites=requested_suites(suites), trials=trials, seed=seed, bound=bound
+    )
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        payloads = [
-            (serialize_instance(inst), tuple(requested), trials, seed, bound)
-            for inst in instances
-        ]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            batches = [
-                [PropertyVerdict.from_json(doc) for doc in result]
-                for result in pool.map(_suite_worker, payloads)
-            ]
+            batches = list(pool.map(run_one, instances))
     else:
-        batches = [
-            run_suite_on_instance(inst, requested, trials, seed, bound)
-            for inst in instances
-        ]
+        batches = [run_one(inst) for inst in instances]
     by_name: dict[str, list[PropertyVerdict]] = {}
     for batch in batches:
         for verdict in batch:

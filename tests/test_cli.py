@@ -71,9 +71,10 @@ class TestRun:
 
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_text("{")
-        code, out, err = run_cli(capsys, "run", str(path))
-        assert code == 2 and out == "" and err
+        for content in (b"{", b"\xff\xfe{"):  # bad JSON, then bytes that are not UTF-8
+            path.write_bytes(content)
+            code, out, err = run_cli(capsys, "run", str(path))
+            assert code == 2 and out == "" and err.startswith("invalid JSON: ")
 
     def test_invalid_instance_exits_2(self, tmp_path, capsys):
         inst = make_instance([], {}, [branch(n=1, location=(0,))])
@@ -184,8 +185,39 @@ class TestOracle:
         assert code == 2 and out == ""
         assert "branch b has 3 contracts" in err and "capped at 2" in err
 
-    def test_unknown_suite_exits_2(self, capsys):
-        assert run_cli(capsys, "oracle", "--gen", "--suite", "bogus")[0] == 2
+    def test_unknown_suite_exits_2(self, capsys, monkeypatch):
+        def no_batch(*args):
+            raise AssertionError("generated a batch for an unknown suite")
+
+        monkeypatch.setattr(cli.generator, "generate_batch", no_batch)
+        for suites in ("bogus", "irc,bogus", "all,bogus"):
+            code, out, err = run_cli(capsys, "oracle", "--gen", "--suite", suites)
+            assert code == 2 and out == "" and "unknown suite 'bogus'" in err
+
+    @pytest.mark.parametrize("flags, named", [
+        (("--count", "0"), "--count must be at least 1 (got 0)"),
+        (("--count", "-3"), "--count must be at least 1 (got -3)"),
+        (("--count", "0", "--suite", "nonsense"), "unknown suite 'nonsense'"),
+        (("--suite", ","), "--suite names no suite"),
+    ])
+    def test_empty_batch_or_suite_list_exits_2(self, capsys, flags, named):
+        code, out, err = run_cli(capsys, "oracle", "--gen", *flags)
+        assert code == 2 and out == "" and named in err
+
+
+def test_internal_value_error_is_not_an_input_error(tmp_path, capsys, monkeypatch):
+    # only named input errors exit 2; a ValueError raised inside an algorithm
+    # is a fault of the program and propagates
+    path = tmp_path / "inst.json"
+    write_contested_instance(path)
+
+    def broken(*args, **kwargs):
+        raise ValueError("not enough values to unpack")
+
+    monkeypatch.setattr(cli, "cumulative_offer", broken)
+    with pytest.raises(ValueError, match="unpack"):
+        main(["run", str(path)])
+    assert capsys.readouterr().out == ""
 
 
 class TestExperiment:
@@ -230,6 +262,21 @@ class TestExperiment:
         path = tmp_path / "inst.json"
         path.write_text(serialize_instance(inst))
         assert run_cli(capsys, "experiment", str(path), "--theorem", "3")[0] == 2
+
+    @pytest.mark.parametrize("flags, named", [
+        (("--theorem", "3", "--branch", "nope", "--slot", "1"), "unknown branch 'nope'"),
+        (("--theorem", "4", "--branch", "nope"), "unknown branch 'nope'"),
+        (("--theorem", "6", "--agent", "ghost"), "unknown agent 'ghost'"),
+        (("--theorem", "3", "--branch", "b", "--slot", "2"), "slot index 2 out of range"),
+        (("--theorem", "4", "--branch", "b", "--position", "3"), "position 3 out of range"),
+        (("--theorem", "5", "--count", "-1"), "--count must be at least 1 (got -1)"),
+        (("--theorem", "6", "--count", "0"), "--count must be at least 1 (got 0)"),
+    ])
+    def test_bad_experiment_arguments_exit_2(self, tmp_path, capsys, flags, named):
+        path = tmp_path / "inst.json"
+        write_contested_instance(path)
+        code, out, err = run_cli(capsys, "experiment", str(path), *flags)
+        assert code == 2 and out == "" and named in err
 
     @pytest.mark.parametrize("theorem", ["4", "5", "6"])
     def test_entry_experiments_smoke(self, tmp_path, capsys, theorem):

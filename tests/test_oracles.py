@@ -153,6 +153,21 @@ class TestChoiceOracles:
         with pytest.raises(InstanceTooLarge):
             check_substitutability(inst, "b", bound=4)
 
+    def test_one_default_bound_for_every_per_branch_check(self):
+        def market(size):
+            ids = tuple(f"c{i}" for i in range(size))
+            return make_instance(
+                [(c, f"a{c}", "b") for c in ids],
+                {f"a{c}": (c,) for c in ids},
+                [branch(n=2, location=(2, 2), original=[ids, ids])],
+            )
+
+        for check in (check_completion, check_substitutability, check_irc, check_lad,
+                      check_slot_specific_reduction):
+            assert check(market(8), "b").instances_checked > 0
+            with pytest.raises(InstanceTooLarge, match="capped at 8"):
+                check(market(9), "b")
+
     def test_reduction_matches_on_zero_transfer_instance(self):
         inst = generate_instance(
             GeneratorConfig(seed=3, agents=3, branches=1, transfer_density=0.0)
@@ -335,7 +350,32 @@ class TestSuiteRunner:
             v.to_json().items() for v in parallel
         )
 
-    def test_unknown_suite_rejected(self):
+    def test_unknown_suite_rejected(self, monkeypatch):
+        # before any instance runs, also when "all" is among the names
+        ran = []
+        monkeypatch.setattr(oracles, "check_irc", lambda *args: ran.append(args) or [])
         inst = generate_instance(GeneratorConfig(seed=1))
-        with pytest.raises(ValueError):
-            run_suite([inst], ["nonsense"])
+        for suites in (["nonsense"], ["irc", "nonsense"], ["all", "nonsense"]):
+            with pytest.raises(ValueError, match="nonsense"):
+                run_suite([inst], suites)
+        assert ran == []
+
+    def test_all_reaches_every_check_through_its_module_global(self, monkeypatch):
+        # the suite table must look each check up when it runs, so rebinding
+        # the module global (as a tracer does) reaches every suite
+        names = sorted(n for n in vars(oracles) if n.startswith("check_"))
+        assert len(names) == len(oracles.ALL_SUITES)
+        calls = {name: 0 for name in names}
+
+        def stub(name):
+            def counted(*args):
+                calls[name] += 1
+                return oracles.PropertyVerdict(name, "pass", None, 1)
+            return counted
+
+        for name in names:
+            monkeypatch.setattr(oracles, name, stub(name))
+        instances = [generate_instance(GeneratorConfig(seed=s, agents=3, branches=2)) for s in range(2)]
+        verdicts = run_suite(instances, ["all"], trials=2, seed=1)
+        assert all(calls[name] > 0 for name in names), calls
+        assert sorted(v.name for v in verdicts) == names
