@@ -2,8 +2,8 @@
 battery, run comparative-statics experiments, and generate instances.
 
 Data goes to stdout as JSON; diagnostics go to stderr.  Exit codes: 0 on
-success, 2 on parse/validation/usage errors, 3 when a requested check comes
-back with a fail verdict.
+success, 2 on bad input (exactly :class:`~sspwct.model.InputError`), 3 when
+a requested check comes back with a fail verdict.
 """
 from __future__ import annotations
 
@@ -14,15 +14,10 @@ import sys
 from typing import Sequence
 
 from . import comparative, generator, oracles
-from .mechanism import (
-    DEFAULT_BLOCKING_BOUND,
-    InstanceTooLarge,
-    cumulative_offer,
-    stability_report,
-)
+from .mechanism import DEFAULT_BLOCKING_BOUND, cumulative_offer, stability_report
 from .model import (
+    InputError,
     Instance,
-    ParseError,
     outcome_violations,
     parse_instance,
     serialize_instance,
@@ -34,12 +29,6 @@ EXIT_INVALID = 2
 EXIT_FAIL_VERDICT = 3
 
 
-class _CommandError(Exception):
-    def __init__(self, message: str, code: int = EXIT_INVALID):
-        super().__init__(message)
-        self.code = code
-
-
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
@@ -49,10 +38,10 @@ def _load_instance(path: str) -> Instance:
         with open(path, "rb") as fh:
             inst = parse_instance(fh.read())
     except OSError as exc:
-        raise _CommandError(f"cannot read {path}: {exc}")
+        raise InputError(f"cannot read {path}: {exc}")
     report = validate_instance(inst)
     if not report.ok:
-        raise _CommandError(
+        raise InputError(
             f"invalid instance {path}:\n" + "\n".join(f"  {v}" for v in report.violations)
         )
     return inst
@@ -63,18 +52,18 @@ def _load_outcome(path: str, inst: Instance) -> frozenset:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError: undecodable or malformed JSON
-        raise _CommandError(f"cannot read outcome {path}: {exc}")
+        raise InputError(f"cannot read outcome {path}: {exc}")
     # accept both a bare outcome file and the run command's own output
     if not isinstance(doc, dict) or ("assignment" not in doc and "outcome" not in doc):
-        raise _CommandError(
+        raise InputError(
             f"outcome {path}: expected an object with an 'assignment' (or 'outcome') array"
         )
     assignment = doc.get("assignment", doc.get("outcome"))
     if not isinstance(assignment, list) or not all(isinstance(x, str) for x in assignment):
-        raise _CommandError(f"outcome {path}: 'assignment' must be an array of contract ids")
+        raise InputError(f"outcome {path}: 'assignment' must be an array of contract ids")
     problems = outcome_violations(inst, assignment)
     if problems:
-        raise _CommandError(
+        raise InputError(
             f"infeasible outcome {path}:\n" + "\n".join(f"  {v}" for v in problems)
         )
     return frozenset(assignment)
@@ -103,25 +92,22 @@ def _add_generator_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _generator_config(args: argparse.Namespace) -> generator.GeneratorConfig:
-    try:
-        return generator.GeneratorConfig(
-            seed=args.seed,
-            agents=args.agents,
-            branches=args.branches,
-            capacity=(args.cap_min, args.cap_max),
-            contracts_per_pair=(args.contracts_min, args.contracts_max),
-            density=args.density,
-            transfer_density=args.transfer_density,
-            location_policy=args.location_policy,
-            ensure_acceptable=not args.allow_empty_prefs,
-        )
-    except ValueError as exc:  # the config names the out-of-range fields
-        raise _CommandError(str(exc))
+    return generator.GeneratorConfig(
+        seed=args.seed,
+        agents=args.agents,
+        branches=args.branches,
+        capacity=(args.cap_min, args.cap_max),
+        contracts_per_pair=(args.contracts_min, args.contracts_max),
+        density=args.density,
+        transfer_density=args.transfer_density,
+        location_policy=args.location_policy,
+        ensure_acceptable=not args.allow_empty_prefs,
+    )
 
 
 def _require_count(count: int) -> None:
     if count < 1:
-        raise _CommandError(f"--count must be at least 1 (got {count})")
+        raise InputError(f"--count must be at least 1 (got {count})")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -151,16 +137,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.instance is not None and args.gen:
-        raise _CommandError("give either an instance file or --gen, not both")
+        raise InputError("give either an instance file or --gen, not both")
     if args.instance is None and not args.gen:
-        raise _CommandError("oracle needs an instance file or --gen")
+        raise InputError("oracle needs an instance file or --gen")
     suites = [s.strip() for s in args.suite.split(",") if s.strip()]
     if not suites:
-        raise _CommandError("--suite names no suite")
-    try:
-        oracles.requested_suites(suites)
-    except ValueError as exc:
-        raise _CommandError(str(exc))
+        raise InputError("--suite names no suite")
+    oracles.requested_suites(suites)
     if args.gen:
         _require_count(args.count)
         instances = generator.generate_batch(_generator_config(args), args.count)
@@ -178,26 +161,25 @@ def _pick_zero_bit(inst: Instance) -> tuple[str, int]:
         for k, bit in enumerate(cfg.transfer, start=1):
             if bit == 0:
                 return b, k
-    raise _CommandError("every transfer bit is already 1; nothing to relax")
+    raise InputError("every transfer bit is already 1; nothing to relax")
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
     if args.branch is not None and args.branch not in inst.branches:
-        raise _CommandError(
+        raise InputError(
             f"unknown branch {args.branch!r}; the instance has {', '.join(inst.branches)}"
         )
     if args.agent is not None and args.agent not in inst.agents:
-        raise _CommandError(f"unknown agent {args.agent!r}")
+        raise InputError(f"unknown agent {args.agent!r}")
     rng = random.Random(args.seed)
     if args.theorem == 3:
-        if args.branch is not None and args.slot is not None:
-            branch, k = args.branch, args.slot
-            n = inst.branches[branch].n
-            if not 1 <= k <= n:
-                raise _CommandError(f"slot index {k} out of range for branch {branch} (n={n})")
-        else:
+        if args.slot is None:
             branch, k = _pick_zero_bit(inst)
+        elif args.branch is None:
+            raise InputError(f"--slot {args.slot} needs --branch to name its branch")
+        else:
+            branch, k = args.branch, args.slot
         report = comparative.flexibility_compare(inst, branch, k)
         chain: dict = {"attempted": False, "matches_modified": None, "outcome": None}
         try:
@@ -218,9 +200,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
     if args.theorem == 4:
         branch = args.branch if args.branch is not None else sorted(inst.branches)[0]
-        n = inst.branches[branch].n
-        if args.position is not None and not 1 <= args.position <= n + 1:
-            raise _CommandError(f"position {args.position} out of range for branch {branch} (n={n})")
         ranking = comparative.random_slot_ranking(inst, branch, rng)
         report = comparative.add_original_slot(inst, branch, ranking, args.position)
         payload = report.to_json()
@@ -233,10 +212,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     additions = comparative.random_added_contracts(
         inst, rng, mode, count=args.count, agent=args.agent
     )
-    try:
-        report = comparative.add_contracts(inst, additions, mode)
-    except comparative.ConditionViolation as exc:
-        raise _CommandError(str(exc))
+    report = comparative.add_contracts(inst, additions, mode)
     payload = report.to_json()
     payload["added_contracts"] = [
         {
@@ -322,10 +298,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _CommandError as exc:
-        print(str(exc), file=sys.stderr)
-        return exc.code
-    except (ParseError, InstanceTooLarge, comparative.AlreadyFlexible) as exc:
+    except InputError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INVALID
 

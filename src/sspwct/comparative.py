@@ -21,6 +21,7 @@ from .model import (
     BranchId,
     Contract,
     ContractId,
+    InputError,
     Instance,
     Outcome,
     SlotId,
@@ -40,7 +41,7 @@ MODE_BOTTOM = "bottom"
 MODE_SINGLE_AGENT = "single-agent-anywhere"
 
 
-class AlreadyFlexible(ValueError):
+class AlreadyFlexible(InputError):
     """The transfer bit to flip is already 1."""
 
 
@@ -49,7 +50,7 @@ class PreconditionUnmet(ValueError):
     contract on the activated shadow seat."""
 
 
-class ConditionViolation(ValueError):
+class ConditionViolation(InputError):
     """A contract addition breaks the relative-order preservation rules."""
 
 
@@ -136,7 +137,7 @@ def compare_outcomes(
 def flip_transfer(inst: Instance, branch: BranchId, k: int) -> Instance:
     cfg = inst.branches[branch]
     if not 1 <= k <= cfg.n:
-        raise ValueError(f"slot index {k} out of range for branch {branch} (n={cfg.n})")
+        raise InputError(f"slot index {k} out of range for branch {branch} (n={cfg.n})")
     if cfg.transfer[k - 1] == 1:
         raise AlreadyFlexible(f"transfer bit {k} of branch {branch} is already 1")
     return inst.with_transfer_bit(branch, k, 1)
@@ -248,7 +249,7 @@ def extend_branch(
     n = cfg.n
     p = n + 1 if position is None else position
     if not 1 <= p <= n + 1:
-        raise ValueError(f"position {p} out of range for branch {branch} (n={n})")
+        raise InputError(f"position {p} out of range for branch {branch} (n={n})")
 
     new_location = [l + 1 if l >= p else l for l in cfg.location]
     own_location = n + 1 if p == n + 1 else new_location[p - 1]
@@ -302,7 +303,7 @@ def apply_additions(
     inst: Instance, additions: Sequence[AddedContract], mode: str
 ) -> Instance:
     if mode not in (MODE_BOTTOM, MODE_SINGLE_AGENT):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InputError(f"unknown mode {mode!r}")
     if mode == MODE_SINGLE_AGENT:
         owners = {a.contract.agent for a in additions}
         if len(owners) > 1:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 
-from .model import BranchConfig, Contract, Instance
+from .model import BranchConfig, Contract, InputError, Instance
 
 LOCATION_ADJACENT = "adjacent"
 LOCATION_TERMINAL = "terminal"
@@ -22,7 +22,7 @@ LOCATION_POLICIES = (LOCATION_ADJACENT, LOCATION_TERMINAL, LOCATION_RANDOM)
 class GeneratorConfig:
     """Generator settings; ``capacity`` and ``contracts_per_pair`` are
     inclusive (min, max) ranges.  An out-of-range field raises
-    :class:`ValueError` naming it."""
+    :class:`~sspwct.model.InputError` naming it."""
 
     seed: int = 0
     agents: int = 4
@@ -58,7 +58,7 @@ class GeneratorConfig:
                 f"(got {self.location_policy!r})"
             )
         if problems:
-            raise ValueError("invalid generator config: " + "; ".join(problems))
+            raise InputError("invalid generator config: " + "; ".join(problems))
 
 
 def _location_vector(n: int, policy: str, rng: random.Random) -> tuple[int, ...]:

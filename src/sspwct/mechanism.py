@@ -37,7 +37,7 @@ from itertools import combinations
 from typing import Iterable, Mapping
 
 from .choice import ChoiceResult, sspwct_choose
-from .model import AgentId, BranchId, ContractId, Instance, Outcome, outcome_violations
+from .model import AgentId, BranchId, ContractId, InputError, Instance, Outcome, outcome_violations
 
 POLICY_LEX = "lex"
 POLICY_RANDOM = "random"
@@ -47,7 +47,7 @@ POLICY_RANDOM = "random"
 DEFAULT_BLOCKING_BOUND = 14
 
 
-class InstanceTooLarge(ValueError):
+class InstanceTooLarge(InputError):
     """An exhaustive search was asked to run past its configured bound."""
 
 
@@ -108,7 +108,7 @@ def cumulative_offer(inst: Instance, policy: str = POLICY_LEX, seed: int = 0) ->
     is policy-independent; the random policy exists to test exactly that.
     """
     if policy not in (POLICY_LEX, POLICY_RANDOM):
-        raise ValueError(f"unknown proposal policy {policy!r}")
+        raise InputError(f"unknown proposal policy {policy!r}")
     rng = random.Random(seed) if policy == POLICY_RANDOM else None
     index = inst.contract_index
     preferences = inst.preferences

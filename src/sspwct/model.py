@@ -28,7 +28,12 @@ SHADOW = "shadow"
 Outcome = frozenset
 
 
-class ParseError(ValueError):
+class InputError(ValueError):
+    """Input a caller got wrong; the message names the bad value.  The CLI
+    maps exactly this type to exit 2."""
+
+
+class ParseError(InputError):
     """Malformed instance document; the message names the offending field."""
 
 
@@ -371,6 +376,17 @@ def _require(obj: Mapping[str, Any], key: str, where: str) -> Any:
     return obj[key]
 
 
+_TOP_FIELDS = frozenset({"contracts", "preferences", "branches"})
+_CONTRACT_FIELDS = frozenset({"id", "agent", "branch", "terms"})
+_BRANCH_FIELDS = frozenset({"id", "n", "location", "transfer", "original_priorities", "shadow_priorities"})
+
+
+def _reject_unknown(obj: Mapping[str, Any], fields: frozenset, where: str) -> None:
+    if not obj.keys() <= fields:
+        unknown = next(key for key in obj if key not in fields)
+        raise ParseError(f"{where}: unknown field {unknown!r}")
+
+
 def _string_list(value: Any, where: str) -> tuple[str, ...]:
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
         raise ParseError(f"{where}: expected an array of strings")
@@ -386,8 +402,8 @@ def _int_list(value: Any, where: str) -> tuple[int, ...]:
 def parse_instance(text: str | bytes) -> Instance:
     """Parse the canonical JSON instance format.
 
-    Structural problems raise :class:`ParseError` naming the field; semantic
-    invariants are left to :func:`validate_instance`.
+    Structural problems, unknown fields included, raise :class:`ParseError`
+    naming the field; semantic invariants are left to :func:`validate_instance`.
     """
     try:
         doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
@@ -408,6 +424,7 @@ def parse_instance(text: str | bytes) -> Instance:
         terms = rc.get("terms", "")
         if not all(isinstance(x, str) for x in (cid, agent, branch, terms)):
             raise ParseError(f"{where}: id, agent, branch, terms must be strings")
+        _reject_unknown(rc, _CONTRACT_FIELDS, where)
         contracts.append(Contract(cid, agent, branch, terms))
 
     raw_prefs = _require(doc, "preferences", "top level")
@@ -442,10 +459,12 @@ def parse_instance(text: str | bytes) -> Instance:
         )
         if bid in branches:
             raise ParseError(f"{where}: duplicate branch id {bid}")
+        _reject_unknown(rb, _BRANCH_FIELDS, where)
         branches[bid] = BranchConfig(
             bid, n, location, transfer, original_priorities, shadow_priorities
         )
 
+    _reject_unknown(doc, _TOP_FIELDS, "top level")
     return Instance(tuple(contracts), preferences, branches)
 
 

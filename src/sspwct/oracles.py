@@ -29,7 +29,7 @@ from .mechanism import (
     cumulative_offer,
     stability_report,
 )
-from .model import ORIGINAL, AgentId, BranchConfig, BranchId, Contract, ContractId, Instance
+from .model import ORIGINAL, AgentId, BranchConfig, BranchId, Contract, ContractId, InputError, Instance
 
 ChoiceRule = Callable[[BranchConfig, Iterable[ContractId], Mapping[ContractId, Contract]], ChoiceResult]
 
@@ -281,11 +281,11 @@ def misreports(universe: Sequence[ContractId]) -> Iterator[tuple[ContractId, ...
 def check_strategy_proofness(inst: Instance, limit: int = MISREPORT_BOUND) -> PropertyVerdict:
     """No agent can obtain a strictly better contract (by her true ranking)
     by reporting any alternative ranking of any subset of her contracts."""
-    for agent in inst.agents:
-        if len(inst.contracts_of_agent.get(agent, ())) > limit:
+    for agent, owned in inst.contracts_of_agent.items():
+        if len(owned) > limit:
             raise InstanceTooLarge(
-                f"agent {agent} has more than {limit} contracts; misreport "
-                f"enumeration is exhaustive and capped"
+                f"agent {agent} has {len(owned)} contracts; misreport enumeration is "
+                f"exhaustive and capped at {limit}"
             )
     truthful = cumulative_offer(inst).outcome
     checked = 0
@@ -512,10 +512,10 @@ ALL_SUITES = tuple(_SUITES)
 
 def requested_suites(names: Sequence[str]) -> list[str]:
     """The suites ``names`` asks for, ``"all"`` standing for every suite;
-    an unknown name raises :class:`ValueError`."""
+    an unknown name raises :class:`~sspwct.model.InputError`."""
     unknown = [s for s in names if s != "all" and s not in _SUITES]
     if unknown:
-        raise ValueError(f"unknown suite {unknown[0]!r}; expected one of {ALL_SUITES}")
+        raise InputError(f"unknown suite {unknown[0]!r}; expected one of {ALL_SUITES}")
     return list(ALL_SUITES) if "all" in names else list(names)
 
 
@@ -539,13 +539,15 @@ def run_suite(
     jobs: int = 1,
 ) -> list[PropertyVerdict]:
     """Run the requested suites (see :func:`requested_suites`) over a batch,
-    merging verdicts per property; an unknown suite name raises before any
-    instance runs.
+    merging verdicts per property; an unknown suite name and ``trials``
+    below 1 raise :class:`~sspwct.model.InputError` before any instance runs.
 
     With ``jobs > 1`` the per-instance work fans out to a process pool;
     every check is a pure function of an immutable instance, so the workers
     receive pickled instances and return their verdicts.
     """
+    if trials < 1:
+        raise InputError(f"trials must be at least 1 (got {trials})")
     run_one = partial(
         run_suite_on_instance, suites=requested_suites(suites), trials=trials, seed=seed, bound=bound
     )

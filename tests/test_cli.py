@@ -199,6 +199,8 @@ class TestOracle:
         (("--count", "-3"), "--count must be at least 1 (got -3)"),
         (("--count", "0", "--suite", "nonsense"), "unknown suite 'nonsense'"),
         (("--suite", ","), "--suite names no suite"),
+        (("--count", "3", "--trials", "0", "--suite", "order-independence"),
+         "trials must be at least 1 (got 0)"),
     ])
     def test_empty_batch_or_suite_list_exits_2(self, capsys, flags, named):
         code, out, err = run_cli(capsys, "oracle", "--gen", *flags)
@@ -271,6 +273,7 @@ class TestExperiment:
         (("--theorem", "4", "--branch", "b", "--position", "3"), "position 3 out of range"),
         (("--theorem", "5", "--count", "-1"), "--count must be at least 1 (got -1)"),
         (("--theorem", "6", "--count", "0"), "--count must be at least 1 (got 0)"),
+        (("--theorem", "3", "--slot", "1"), "--slot 1 needs --branch"),
     ])
     def test_bad_experiment_arguments_exit_2(self, tmp_path, capsys, flags, named):
         path = tmp_path / "inst.json"

@@ -1,0 +1,124 @@
+"""The one input-error boundary: ``cli.main`` exits 2 on exactly
+``model.InputError``, and the library raises it with the text the CLI prints.
+Internal faults stay outside that type, so they still end in a traceback."""
+import pytest
+
+from sspwct import cli, comparative, generator, mechanism, oracles
+from sspwct.choice import ForeignContract
+from sspwct.cli import main
+from sspwct.model import InputError, ParseError, serialize_instance
+
+from conftest import branch, make_instance
+
+# one seat, transfer bit 0, so a flip at slot 1 and a seat at position 1 or 2 are valid
+MARKET = make_instance(
+    [("x", "A", "b"), ("y", "B", "b")],
+    {"A": (), "B": ("y",)},
+    [branch(n=1, transfer=(0,), original=[("x",)], shadow=[("y", "x")])],
+)
+
+INPUT_ERRORS = [
+    ParseError,
+    mechanism.InstanceTooLarge,
+    comparative.AlreadyFlexible,
+    comparative.ConditionViolation,
+]
+INTERNAL_FAULTS = [
+    ForeignContract,
+    comparative.PreconditionUnmet,
+    comparative.ImprovementChainError,
+]
+
+
+def _raising(exc_type):
+    def raise_it(*args, **kwargs):
+        raise exc_type("boom")
+    return raise_it
+
+
+@pytest.mark.parametrize("exc_type", INPUT_ERRORS)
+def test_input_errors_exit_2(tmp_path, capsys, monkeypatch, exc_type):
+    assert issubclass(exc_type, InputError) and issubclass(exc_type, ValueError)
+    path = tmp_path / "inst.json"
+    path.write_text(serialize_instance(MARKET))
+    monkeypatch.setattr(cli, "cumulative_offer", _raising(exc_type))
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "boom\n"
+
+
+@pytest.mark.parametrize("exc_type", INTERNAL_FAULTS)
+def test_internal_faults_propagate(tmp_path, capsys, monkeypatch, exc_type):
+    assert not issubclass(exc_type, InputError)
+    path = tmp_path / "inst.json"
+    path.write_text(serialize_instance(MARKET))
+    monkeypatch.setattr(cli, "cumulative_offer", _raising(exc_type))
+    with pytest.raises(exc_type, match="boom"):
+        main(["run", str(path)])
+    assert capsys.readouterr().out == ""
+
+
+# (library call, its message, CLI arguments that reach it or None)
+RAISE_SITES = [
+    pytest.param(
+        lambda: comparative.flip_transfer(MARKET, "b", 0),
+        "slot index 0 out of range for branch b (n=1)",
+        ["experiment", "{path}", "--theorem", "3", "--branch", "b", "--slot", "0"],
+        id="flip_transfer-slot-0",
+    ),
+    pytest.param(
+        lambda: comparative.flip_transfer(MARKET, "b", 2),
+        "slot index 2 out of range for branch b (n=1)",
+        ["experiment", "{path}", "--theorem", "3", "--branch", "b", "--slot", "2"],
+        id="flip_transfer-slot-n+1",
+    ),
+    pytest.param(
+        lambda: comparative.extend_branch(MARKET, "b", (), 0),
+        "position 0 out of range for branch b (n=1)",
+        ["experiment", "{path}", "--theorem", "4", "--branch", "b", "--position", "0"],
+        id="extend_branch-position-0",
+    ),
+    pytest.param(
+        lambda: comparative.extend_branch(MARKET, "b", (), 3),
+        "position 3 out of range for branch b (n=1)",
+        ["experiment", "{path}", "--theorem", "4", "--branch", "b", "--position", "3"],
+        id="extend_branch-position-n+2",
+    ),
+    pytest.param(
+        lambda: oracles.requested_suites(["bogus"]),
+        f"unknown suite 'bogus'; expected one of {oracles.ALL_SUITES}",
+        ["oracle", "--gen", "--suite", "bogus"],
+        id="requested_suites",
+    ),
+    pytest.param(
+        lambda: generator.GeneratorConfig(agents=0),
+        "invalid generator config: agents must be at least 1 (got 0)",
+        ["gen", "--agents", "0"],
+        id="GeneratorConfig",
+    ),
+    pytest.param(
+        lambda: comparative.apply_additions(MARKET, [], mode="nope"),
+        "unknown mode 'nope'",
+        None,
+        id="apply_additions-mode",
+    ),
+    pytest.param(
+        lambda: mechanism.cumulative_offer(MARKET, policy="nope"),
+        "unknown proposal policy 'nope'",
+        None,
+        id="cumulative_offer-policy",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, message, argv", RAISE_SITES)
+def test_library_raises_the_text_the_cli_prints(tmp_path, capsys, call, message, argv):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert str(exc.value) == message
+    if argv is not None:
+        path = tmp_path / "inst.json"
+        path.write_text(serialize_instance(MARKET))
+        code = main([arg.format(path=path) for arg in argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", message + "\n")

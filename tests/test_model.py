@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import re
 
 import pytest
 
 from sspwct.model import (
+    InputError,
     ParseError,
     parse_instance,
     serialize_instance,
@@ -75,6 +77,20 @@ def test_roundtrip_is_byte_identical():
     inst = generate_instance(GeneratorConfig(seed=5))
     text = serialize_instance(inst)
     assert serialize_instance(parse_instance(text)) == text
+
+
+@pytest.mark.parametrize("where, place", [
+    pytest.param("top level", lambda doc: doc, id="top-level"),
+    pytest.param("contracts[0]", lambda doc: doc["contracts"][0], id="contract"),
+    pytest.param("branches[0]", lambda doc: doc["branches"][0], id="branch"),
+])
+def test_parse_rejects_unknown_field(where, place):
+    inst = generate_instance(GeneratorConfig(seed=5))
+    doc = json.loads(serialize_instance(inst))
+    place(doc)["term"] = "t1"
+    with pytest.raises(ParseError, match=rf"^{re.escape(where)}: unknown field 'term'$") as exc:
+        parse_instance(json.dumps(doc))
+    assert isinstance(exc.value, InputError)
 
 
 def test_parse_missing_transfer_names_the_field():

@@ -6,7 +6,7 @@ from sspwct.choice import ChoiceResult, SlotFill, completion_choose, sspwct_choo
 from sspwct.generator import GeneratorConfig, generate_instance
 from sspwct import oracles
 from sspwct.mechanism import ComTrace, InstanceTooLarge, cumulative_offer
-from sspwct.model import ORIGINAL
+from sspwct.model import ORIGINAL, InputError
 from sspwct.oracles import (
     check_completion,
     check_irc,
@@ -206,6 +206,16 @@ class TestStrategyProofness:
         with pytest.raises(InstanceTooLarge):
             check_strategy_proofness(inst)
 
+    def test_limit_message_names_count_and_cap(self):
+        inst = generate_instance(
+            GeneratorConfig(seed=5, agents=2, branches=3, contracts_per_pair=(2, 2))
+        )
+        with pytest.raises(InstanceTooLarge) as exc:
+            check_strategy_proofness(inst)
+        assert str(exc.value) == (
+            "agent i01 has 6 contracts; misreport enumeration is exhaustive and capped at 4"
+        )
+
     def test_randomized_instances(self):
         for seed in range(30):
             inst = generate_instance(GeneratorConfig(seed=900 + seed, agents=3))
@@ -358,6 +368,17 @@ class TestSuiteRunner:
         for suites in (["nonsense"], ["irc", "nonsense"], ["all", "nonsense"]):
             with pytest.raises(ValueError, match="nonsense"):
                 run_suite([inst], suites)
+        assert ran == []
+
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_trials_below_one_rejected(self, monkeypatch, trials):
+        # a batch with no order-independence trial would pass vacuously
+        ran = []
+        monkeypatch.setattr(oracles, "check_order_independence", lambda *args: ran.append(args) or [])
+        inst = generate_instance(GeneratorConfig(seed=1))
+        for suites in (["order-independence"], ["completion"]):
+            with pytest.raises(InputError, match=rf"^trials must be at least 1 \(got {trials}\)$"):
+                run_suite([inst], suites, trials=trials)
         assert ran == []
 
     def test_all_reaches_every_check_through_its_module_global(self, monkeypatch):
