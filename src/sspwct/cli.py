@@ -39,11 +39,9 @@ def _load_instance(path: str) -> Instance:
             inst = parse_instance(fh.read())
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
-    report = validate_instance(inst)
-    if not report.ok:
-        raise InputError(
-            f"invalid instance {path}:\n" + "\n".join(f"  {v}" for v in report.violations)
-        )
+    problems = validate_instance(inst)
+    if problems:
+        raise InputError(f"invalid instance {path}:\n" + "\n".join(f"  {v}" for v in problems))
     return inst
 
 
@@ -156,12 +154,14 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK if all(v.ok for v in verdicts) else EXIT_FAIL_VERDICT
 
 
-def _pick_zero_bit(inst: Instance) -> tuple[str, int]:
-    for b, cfg in inst.branches.items():
-        for k, bit in enumerate(cfg.transfer, start=1):
+def _pick_zero_bit(inst: Instance, branch: str | None) -> tuple[str, int]:
+    """The first zero transfer bit of ``branch``, or of any branch if None."""
+    for b in inst.branches if branch is None else [branch]:
+        for k, bit in enumerate(inst.branches[b].transfer, start=1):
             if bit == 0:
                 return b, k
-    raise InputError("every transfer bit is already 1; nothing to relax")
+    where = "" if branch is None else f" of branch {branch}"
+    raise InputError(f"every transfer bit{where} is already 1; nothing to relax")
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
@@ -175,7 +175,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed)
     if args.theorem == 3:
         if args.slot is None:
-            branch, k = _pick_zero_bit(inst)
+            branch, k = _pick_zero_bit(inst, args.branch)
         elif args.branch is None:
             raise InputError(f"--slot {args.slot} needs --branch to name its branch")
         else:

@@ -265,9 +265,9 @@ def extend_branch(
         cfg.id, n + 1, tuple(new_location), tuple(transfer), tuple(originals), tuple(shadows)
     )
     out = inst.with_branch(extended)
-    report = validate_instance(out)
-    if not report.ok:
-        raise ValueError("extended branch is invalid: " + "; ".join(report.violations))
+    problems = validate_instance(out)
+    if problems:
+        raise InputError("extended branch is invalid: " + "; ".join(problems))
     return out
 
 
@@ -357,9 +357,9 @@ def apply_additions(
             branches={**current.branches, c.branch: new_cfg},
         )
 
-    report = validate_instance(current)
-    if not report.ok:
-        raise ConditionViolation("additions produced an invalid instance: " + "; ".join(report.violations))
+    problems = validate_instance(current)
+    if problems:
+        raise ConditionViolation("additions produced an invalid instance: " + "; ".join(problems))
     return current
 
 

@@ -85,17 +85,22 @@ def generate_instance(cfg: GeneratorConfig) -> Instance:
     agents = [f"i{j:02d}" for j in range(1, cfg.agents + 1)]
     branch_ids = [f"b{j:02d}" for j in range(1, cfg.branches + 1)]
 
+    # each agent's and each branch's contract ids in creation order, which
+    # the draws below walk (ids past c999 do not sort numerically)
     contracts: list[Contract] = []
-    counter = 0
+    own_of: dict[str, list[str]] = {agent: [] for agent in agents}
+    pool_of: dict[str, list[str]] = {branch: [] for branch in branch_ids}
     for agent in agents:
         for branch in branch_ids:
             for t in range(rng.randint(*cfg.contracts_per_pair)):
-                counter += 1
-                contracts.append(Contract(f"c{counter:03d}", agent, branch, terms=f"t{t + 1}"))
+                cid = f"c{len(contracts) + 1:03d}"
+                contracts.append(Contract(cid, agent, branch, terms=f"t{t + 1}"))
+                own_of[agent].append(cid)
+                pool_of[branch].append(cid)
 
     preferences = {}
     for agent in agents:
-        own = [c.id for c in contracts if c.agent == agent]
+        own = own_of[agent]
         listed = [cid for cid in own if rng.random() < cfg.density]
         if cfg.ensure_acceptable and own and not listed:
             listed = [rng.choice(own)]
@@ -105,7 +110,7 @@ def generate_instance(cfg: GeneratorConfig) -> Instance:
     branches = {}
     for branch in branch_ids:
         n = rng.randint(*cfg.capacity)
-        pool = [c.id for c in contracts if c.branch == branch]
+        pool = pool_of[branch]
 
         def ranking() -> tuple[str, ...]:
             listed = [cid for cid in pool if rng.random() < cfg.density]

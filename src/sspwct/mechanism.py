@@ -190,60 +190,40 @@ def is_individually_rational(inst: Instance, outcome: Outcome) -> bool:
 def find_blocking_set(
     inst: Instance, outcome: Outcome, bound: int = DEFAULT_BLOCKING_BOUND
 ) -> tuple[BranchId, frozenset] | None:
-    """Exhaustively search for a branch and contract set blocking ``outcome``.
+    """Exhaustively search for a branch and contract set blocking a feasible
+    ``outcome`` (:func:`stability_report` checks feasibility first).
 
     A set Y of contracts at branch b blocks if Y differs from what b holds,
     b would choose exactly Y from outcome + Y, and every agent in Y finds her
-    Y-contract the best among her contracts in outcome + Y.  Enumeration is
-    deterministic (branches by id, candidates by size then lexicographically),
-    restricted to feasible sets, and pruned to contracts each agent weakly
-    prefers to her current assignment (any other Y fails the agent-side
-    condition outright).
+    Y-contract the best among her contracts in outcome + Y.  Those are at
+    most her held contract and her Y-contract, so the agent-side condition
+    is a filter on single contracts: acceptable to the agent, and her held
+    contract or one she prefers to it.  Enumeration is deterministic
+    (branches by id, filtered candidates by size then lexicographically) and
+    restricted to sets with one contract per agent.
     """
+    index = inst.contract_index
+    held = {index[c].agent: c for c in outcome}
     for branch in inst.branches:
         universe = branch_universe(inst, branch, bound, "blocking enumeration")
-        cfg = inst.branches[branch]
         out_b = _branch_part(inst, outcome, branch)
         base = branch_choice(inst, branch, out_b).chosen
-
-        current_of = {
-            inst.contract_index[c].agent: c for c in outcome
-        }
         candidates = []
-        for cid in universe:
-            agent = inst.contract_index[cid].agent
-            now = current_of.get(agent)
-            if cid == now or inst.prefers(agent, cid, now):
-                candidates.append(cid)
-
-        for size in range(1, cfg.n + 1):
+        for c in universe:
+            agent = index[c].agent
+            now = held.get(agent)
+            if inst.acceptable(agent, c) and (c == now or inst.prefers(agent, c, now)):
+                candidates.append(c)
+        for size in range(1, inst.branches[branch].n + 1):
             for combo in combinations(candidates, size):
-                agents = [inst.contract_index[c].agent for c in combo]
-                if len(set(agents)) != len(agents):
-                    continue
                 y = frozenset(combo)
-                if y == base:
-                    continue
-                pool = out_b | y
-                if branch_choice(inst, branch, pool).chosen != y:
-                    continue
-                if all(
-                    _best_in(inst, agent, outcome | y) == ycid
-                    for ycid, agent in zip(combo, agents)
+                if (
+                    len({index[c].agent for c in combo}) == size
+                    and y != base
+                    and branch_choice(inst, branch, out_b | y).chosen == y
                 ):
                     return branch, y
     return None
-
-
-def _best_in(inst: Instance, agent: AgentId, contracts: Iterable[ContractId]) -> ContractId | None:
-    """The agent's most preferred *acceptable* contract among her own."""
-    best: ContractId | None = None
-    for cid in contracts:
-        if inst.contract_index[cid].agent != agent or not inst.acceptable(agent, cid):
-            continue
-        if best is None or inst.prefers(agent, cid, best):
-            best = cid
-    return best
 
 
 @dataclass(frozen=True)

@@ -249,15 +249,6 @@ class Instance:
         return self.with_branch(replace(cfg, transfer=tuple(transfer)))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def _strict_order_violations(label: str, ranking: Sequence[ContractId]) -> list[str]:
     seen: set[ContractId] = set()
     out = []
@@ -268,10 +259,11 @@ def _strict_order_violations(label: str, ranking: Sequence[ContractId]) -> list[
     return out
 
 
-def validate_instance(inst: Instance) -> ValidationReport:
-    """Check every structural invariant; returns all violations found.
+def validate_instance(inst: Instance) -> list[str]:
+    """Check every structural invariant; returns all violations found, as
+    :func:`outcome_violations` does.
 
-    An empty report means the instance is well-formed.  Violations are data,
+    An empty list means the instance is well-formed.  Violations are data,
     not exceptions: callers decide whether to proceed.
     """
     v: list[str] = []
@@ -339,7 +331,7 @@ def validate_instance(inst: Instance) -> ValidationReport:
                 elif c.branch != b:
                     v.append(f"slot {slot}: contract {cid} belongs to branch {c.branch}")
 
-    return ValidationReport(tuple(v))
+    return v
 
 
 def outcome_violations(inst: Instance, assignment: Iterable[ContractId]) -> list[str]:

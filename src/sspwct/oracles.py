@@ -75,24 +75,21 @@ def merge_verdicts(name: str, verdicts: Sequence[PropertyVerdict]) -> PropertyVe
     return _passed(name, checked)
 
 
-def _chosen_table(
-    inst: Instance,
-    branch: BranchId,
-    bound: int,
-    what: str,
-    rule: ChoiceRule,
-    cfg: BranchConfig | None = None,
-) -> dict[frozenset, frozenset]:
-    """What ``rule`` chooses from every subset of the branch's contracts
-    (``cfg`` defaults to the branch's own configuration), keyed by offer set
-    in enumeration order: by size, then lexicographically."""
+def _offer_sets(inst: Instance, branch: BranchId, bound: int, what: str) -> Iterator[frozenset]:
+    """Every subset of the branch's contracts, by size, then
+    lexicographically; the bound is checked before the first one."""
     universe = branch_universe(inst, branch, bound, what)
-    cfg = inst.branches[branch] if cfg is None else cfg
-    return {
-        offers: rule(cfg, offers, inst.contract_index).chosen
-        for size in range(len(universe) + 1)
-        for offers in map(frozenset, combinations(universe, size))
-    }
+    return (frozenset(c) for size in range(len(universe) + 1) for c in combinations(universe, size))
+
+
+def _chosen_table(
+    inst: Instance, branch: BranchId, bound: int, what: str, rule: ChoiceRule
+) -> dict[frozenset, frozenset]:
+    """What ``rule`` chooses from every offer set of :func:`_offer_sets`,
+    for the checks that look up neighbouring offer sets."""
+    cfg = inst.branches[branch]
+    offer_sets = _offer_sets(inst, branch, bound, what)
+    return {offers: rule(cfg, offers, inst.contract_index).chosen for offers in offer_sets}
 
 
 # -- choice-rule properties --
@@ -107,10 +104,10 @@ def check_completion(
 ) -> PropertyVerdict:
     """For every offer set, the completion either agrees with the base rule
     or holds two contracts of one agent."""
-    table = _chosen_table(inst, branch, bound, "the completion check", rule)
-    completed = _chosen_table(inst, branch, bound, "the completion check", completion_rule)
-    for checked, (offers, base) in enumerate(table.items(), start=1):
-        comp = completed[offers]
+    cfg = inst.branches[branch]
+    for checked, offers in enumerate(_offer_sets(inst, branch, bound, "the completion check"), start=1):
+        base = rule(cfg, offers, inst.contract_index).chosen
+        comp = completion_rule(cfg, offers, inst.contract_index).chosen
         if comp == base:
             continue
         agents = [inst.contract_index[c].agent for c in comp]
@@ -126,7 +123,7 @@ def check_completion(
                 "completion": sorted(comp),
             },
         )
-    return _passed("completion", len(table))
+    return _passed("completion", checked)
 
 
 def check_substitutability(
@@ -249,11 +246,10 @@ def check_slot_specific_reduction(
     with the reference slot-specific rule on every offer set."""
     cfg = inst.branches[branch]
     zeroed = replace(cfg, transfer=(0,) * cfg.n)
-    what = "the reduction check"
-    table = _chosen_table(inst, branch, bound, what, sspwct_choose, zeroed)
-    reference = _chosen_table(inst, branch, bound, what, slot_specific_reference, zeroed)
-    for checked, (offers, ours) in enumerate(table.items(), start=1):
-        if ours != reference[offers]:
+    for checked, offers in enumerate(_offer_sets(inst, branch, bound, "the reduction check"), start=1):
+        ours = sspwct_choose(zeroed, offers, inst.contract_index).chosen
+        reference = slot_specific_reference(zeroed, offers, inst.contract_index).chosen
+        if ours != reference:
             return _failed(
                 "slot-specific-reduction",
                 checked,
@@ -261,10 +257,10 @@ def check_slot_specific_reduction(
                     "branch": branch,
                     "offers": sorted(offers),
                     "sspwct": sorted(ours),
-                    "reference": sorted(reference[offers]),
+                    "reference": sorted(reference),
                 },
             )
-    return _passed("slot-specific-reduction", len(table))
+    return _passed("slot-specific-reduction", checked)
 
 
 # -- strategy-proofness --

@@ -2,15 +2,18 @@
 
 These are the straightforward versions the library's fast paths replaced:
 the seat merge rebuilt on every choice call, the choice rule walking it with
-dict bookkeeping, and a cumulative offer process that rescans every agent
-each round and copies every branch's pool into every step.  They are slow
-on purpose and must not be imported by ``sspwct`` itself.
+dict bookkeeping, a cumulative offer process that rescans every agent each
+round and copies every branch's pool into every step, and a blocking search
+that rescans the outcome for every agent of every candidate set.  They are
+slow on purpose and must not be imported by ``sspwct`` itself.
 """
 from __future__ import annotations
 
 import random
+from itertools import combinations
 from typing import Iterable, Mapping
 
+from sspwct import mechanism
 from sspwct.choice import ChoiceResult, ForeignContract, SlotFill
 from sspwct.mechanism import POLICY_LEX, POLICY_RANDOM, ComStep, ComTrace
 from sspwct.model import (
@@ -155,3 +158,53 @@ def trace_to_json(trace: ComTrace) -> dict:
         ],
         "outcome": sorted(trace.outcome),
     }
+
+
+def find_blocking_set(
+    inst: Instance, outcome: frozenset, bound: int = mechanism.DEFAULT_BLOCKING_BOUND
+) -> tuple[BranchId, frozenset] | None:
+    """The blocking search before its candidate filter decided the agent
+    side: candidates are the contracts each agent weakly prefers to her
+    assignment, and every candidate set is re-checked with :func:`best_in`
+    over outcome + Y.  Uses the library's choice rule."""
+    for branch in inst.branches:
+        universe = mechanism.branch_universe(inst, branch, bound, "blocking enumeration")
+        cfg = inst.branches[branch]
+        out_b = frozenset(c for c in outcome if inst.contract_index[c].branch == branch)
+        base = mechanism.branch_choice(inst, branch, out_b).chosen
+
+        current_of = {inst.contract_index[c].agent: c for c in outcome}
+        candidates = []
+        for cid in universe:
+            agent = inst.contract_index[cid].agent
+            now = current_of.get(agent)
+            if cid == now or inst.prefers(agent, cid, now):
+                candidates.append(cid)
+
+        for size in range(1, cfg.n + 1):
+            for combo in combinations(candidates, size):
+                agents = [inst.contract_index[c].agent for c in combo]
+                if len(set(agents)) != len(agents):
+                    continue
+                y = frozenset(combo)
+                if y == base:
+                    continue
+                if mechanism.branch_choice(inst, branch, out_b | y).chosen != y:
+                    continue
+                if all(
+                    best_in(inst, agent, outcome | y) == ycid
+                    for ycid, agent in zip(combo, agents)
+                ):
+                    return branch, y
+    return None
+
+
+def best_in(inst: Instance, agent: AgentId, contracts: Iterable[ContractId]) -> ContractId | None:
+    """The agent's most preferred *acceptable* contract among her own."""
+    best: ContractId | None = None
+    for cid in contracts:
+        if inst.contract_index[cid].agent != agent or not inst.acceptable(agent, cid):
+            continue
+        if best is None or inst.prefers(agent, cid, best):
+            best = cid
+    return best

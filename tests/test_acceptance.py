@@ -412,7 +412,7 @@ def test_criterion_10_cli_pipeline(tmp_path, capsys):
     )
     doc = json.loads(capsys.readouterr().out)
     all_green = all(v["status"] == "pass" for v in doc["verdicts"])
-    parsed = validate_instance(parse_instance(inst_a.read_bytes())).ok
+    parsed = not validate_instance(parse_instance(inst_a.read_bytes()))
     elapsed = time.perf_counter() - t0
     ok = identical and verify_code == 0 and oracle_code == 0 and all_green and parsed
     assert report(10, "cli pipeline round-trip", ok, f"gen/run/verify/oracle, {elapsed:.1f}s")

@@ -35,7 +35,7 @@ class TestGen:
     def test_stdout_output_is_valid(self, capsys):
         code, out, _ = run_cli(capsys, "gen", "--seed", "3")
         assert code == 0
-        assert validate_instance(parse_instance(out)).ok
+        assert not validate_instance(parse_instance(out))
 
     @pytest.mark.parametrize("flags, field", [
         (("--agents", "-3"), "agents"),
@@ -307,3 +307,17 @@ def test_pipeline_gen_run_verify_oracle(tmp_path, capsys):
     outcome_path.write_text(out)
     assert run_cli(capsys, "verify", str(inst_path), str(outcome_path))[0] == 0
     assert run_cli(capsys, "oracle", str(inst_path), "--suite", "completion,stability")[0] == 0
+
+
+def test_theorem_3_branch_without_slot_flips_that_branch(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    # transfer bits: b01 (1, 0), b02 (0, 0, 0), b03 (1,)
+    assert run_cli(capsys, "gen", "--seed", "3", "--agents", "6", "--branches", "3", "--out", str(path))[0] == 0
+    code, out, _ = run_cli(capsys, "experiment", str(path), "--theorem", "3", "--branch", "b02")
+    assert code in (0, 3)
+    assert json.loads(out)["flipped"] == {"branch": "b02", "slot": 1}
+    code, out, _ = run_cli(capsys, "experiment", str(path), "--theorem", "3")
+    assert json.loads(out)["flipped"] == {"branch": "b01", "slot": 2}
+    code, out, err = run_cli(capsys, "experiment", str(path), "--theorem", "3", "--branch", "b03")
+    assert (code, out) == (2, "")
+    assert err == "every transfer bit of branch b03 is already 1; nothing to relax\n"

@@ -1,8 +1,9 @@
-"""Differential tests: the incremental cumulative offer process and the
-planned choice rules against the straightforward implementations they
-replaced (kept in ``com_reference``).  Traces must match exactly, step by
-step and pool by pool, for the deterministic and the seeded random policy;
-the reference side is serialized without the shared-pool memo."""
+"""Differential tests: the incremental cumulative offer process, the
+planned choice rules and the filtered blocking search against the
+straightforward implementations they replaced (kept in ``com_reference``).
+Traces must match exactly, step by step and pool by pool, for the
+deterministic and the seeded random policy; the reference side is
+serialized without the shared-pool memo."""
 import random
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 import com_reference as ref
 from sspwct.choice import completion_choose, sspwct_choose
 from sspwct.generator import GeneratorConfig, generate_batch, generate_instance
-from sspwct.mechanism import cumulative_offer
+from sspwct.mechanism import cumulative_offer, find_blocking_set
 
 BATCHES = {
     "default": (GeneratorConfig(seed=3000), 100),
@@ -58,3 +59,41 @@ def test_choice_rules_match_reference(rule, completion):
                     assert list(got.per_slot.items()) == list(want.per_slot.items())
                     calls += 1
     assert calls > 500
+
+
+def _random_feasible_outcome(inst, rng):
+    """Each agent holds one of her contracts, acceptable or not, with
+    probability 0.7, while her branch has a free seat."""
+    free = {b: cfg.n for b, cfg in inst.branches.items()}
+    outcome = []
+    for agent in inst.agents:
+        owned = inst.contracts_of_agent[agent]
+        if owned and rng.random() < 0.7:
+            cid = rng.choice(owned)
+            branch = inst.contract_index[cid].branch
+            if free[branch]:
+                free[branch] -= 1
+                outcome.append(cid)
+    return frozenset(outcome)
+
+
+def test_blocking_search_matches_reference():
+    rng = random.Random(3700)
+    configs = [GeneratorConfig(seed=3700, agents=5, branches=2, capacity=(1, 3), density=0.7),
+               GeneratorConfig(seed=3800, agents=4, branches=1, capacity=(1, 2), contracts_per_pair=(1, 3))]
+    checked = blocked = unacceptable = 0
+    for cfg in configs:
+        for inst in generate_batch(cfg, 150):
+            outcomes = [cumulative_offer(inst).outcome]
+            outcomes += [_random_feasible_outcome(inst, rng) for _ in range(6)]
+            for outcome in outcomes:
+                got = find_blocking_set(inst, outcome)
+                assert got == ref.find_blocking_set(inst, outcome), (inst, sorted(outcome))
+                checked += 1
+                blocked += got is not None
+                unacceptable += any(
+                    not inst.acceptable(inst.contract_index[c].agent, c) for c in outcome
+                )
+    assert checked >= 2000
+    assert 3 * blocked >= checked and checked - blocked >= 200
+    assert unacceptable >= 200

@@ -212,7 +212,7 @@ class TestAddOriginalSlot:
         b = next(iter(inst.branches))
         for position in range(1, inst.branches[b].n + 2):
             extended = extend_branch(inst, b, (), position)
-            assert validate_instance(extended).ok
+            assert not validate_instance(extended)
             cfg = extended.branches[b]
             assert cfg.n == inst.branches[b].n + 1
             assert cfg.transfer.count(0) == inst.branches[b].transfer.count(0) + 1

@@ -85,6 +85,12 @@ RAISE_SITES = [
         id="extend_branch-position-n+2",
     ),
     pytest.param(
+        lambda: comparative.extend_branch(MARKET, "b", ["nope"]),
+        "extended branch is invalid: slot b:o2: unknown contract nope",
+        None,
+        id="extend_branch-ranking",
+    ),
+    pytest.param(
         lambda: oracles.requested_suites(["bogus"]),
         f"unknown suite 'bogus'; expected one of {oracles.ALL_SUITES}",
         ["oracle", "--gen", "--suite", "bogus"],
