@@ -199,6 +199,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         return EXIT_FAIL_VERDICT if failed else EXIT_OK
 
     if args.theorem == 4:
+        if not inst.branches:
+            raise InputError("cannot add a seat: the instance has no branch")
         branch = args.branch if args.branch is not None else sorted(inst.branches)[0]
         ranking = comparative.random_slot_ranking(inst, branch, rng)
         report = comparative.add_original_slot(inst, branch, ranking, args.position)

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
-from .mechanism import assigned_contract, cumulative_offer
+from .mechanism import cumulative_offer, holdings
 from .model import (
     ORIGINAL,
     SHADOW,
@@ -27,7 +27,6 @@ from .model import (
     SlotId,
     validate_instance,
 )
-from .choice import sspwct_choose
 
 STRICTLY_BETTER = "strictly_better"
 EQUAL = "equal"
@@ -62,16 +61,16 @@ class ImprovementChainError(RuntimeError):
 @dataclass(frozen=True)
 class ComparisonReport:
     """Both outcomes, the per-agent comparison and the verdict, plus each
-    run's final accumulated pools (the seat ledgers' source; not part of
-    :meth:`to_json`)."""
+    run's seat ledger (:attr:`~sspwct.mechanism.ComTrace.seats`; not part
+    of :meth:`to_json`)."""
 
     baseline: Outcome
     modified: Outcome
     per_agent: Mapping[AgentId, str]
     protected: frozenset
     verdict: str
-    baseline_pools: Mapping[BranchId, frozenset]
-    modified_pools: Mapping[BranchId, frozenset]
+    baseline_seats: Mapping[SlotId, ContractId]
+    modified_seats: Mapping[SlotId, ContractId]
 
     @property
     def strict_improvers(self) -> tuple[AgentId, ...]:
@@ -87,13 +86,6 @@ class ComparisonReport:
         }
 
 
-def _outcome_and_pools(inst: Instance) -> tuple[Outcome, Mapping[BranchId, frozenset]]:
-    """The mechanism's outcome and every branch's final accumulated pool."""
-    trace = cumulative_offer(inst)
-    pools = trace.steps[-1].pools if trace.steps else {b: frozenset() for b in inst.branches}
-    return trace.outcome, pools
-
-
 def compare_outcomes(
     base_inst: Instance,
     mod_inst: Instance,
@@ -105,15 +97,15 @@ def compare_outcomes(
     baseline rankings in every experiment here, so baseline contracts keep
     their relative order).  ``protected`` defaults to every agent.
     """
-    baseline, baseline_pools = _outcome_and_pools(base_inst)
-    modified, modified_pools = _outcome_and_pools(mod_inst)
+    base_run, mod_run = cumulative_offer(base_inst), cumulative_offer(mod_inst)
+    held_before = holdings(base_inst, base_run.outcome)
+    held_after = holdings(mod_inst, mod_run.outcome)
     agents = sorted(set(base_inst.agents) | set(mod_inst.agents))
     if protected is None:
         protected = frozenset(agents)
     per_agent: dict[AgentId, str] = {}
     for agent in agents:
-        before = assigned_contract(base_inst, baseline, agent)
-        after = assigned_contract(mod_inst, modified, agent)
+        before, after = held_before.get(agent), held_after.get(agent)
         if mod_inst.prefers(agent, after, before):
             per_agent[agent] = STRICTLY_BETTER
         elif mod_inst.prefers(agent, before, after):
@@ -127,7 +119,7 @@ def compare_outcomes(
     else:
         verdict = WEAKLY_IMPROVES_FOR
     return ComparisonReport(
-        baseline, modified, per_agent, protected, verdict, baseline_pools, modified_pools
+        base_run.outcome, mod_run.outcome, per_agent, protected, verdict, base_run.seats, mod_run.seats
     )
 
 
@@ -149,18 +141,6 @@ def flexibility_compare(inst: Instance, branch: BranchId, k: int) -> ComparisonR
     return compare_outcomes(inst, flip_transfer(inst, branch, k))
 
 
-def _slot_assignments(inst: Instance, pools: Mapping[BranchId, frozenset]) -> dict[SlotId, ContractId]:
-    """Per-seat view of the outcome, read off each branch's choice from its
-    final accumulated pool."""
-    placed: dict[SlotId, ContractId] = {}
-    for b, pool in pools.items():
-        result = sspwct_choose(inst.branches[b], pool, inst.contract_index)
-        for slot, fill in result.per_slot.items():
-            if fill.contract is not None:
-                placed[slot] = fill.contract
-    return placed
-
-
 def improvement_chain(inst: Instance, report: ComparisonReport, branch: BranchId, k: int) -> Outcome:
     """Reconstruct the modified outcome by walking the chain of reassignments
     that activating shadow seat k sets off.
@@ -172,16 +152,16 @@ def improvement_chain(inst: Instance, report: ComparisonReport, branch: BranchId
     improves one agent, so the walk terminates.
 
     ``report`` is :func:`flexibility_compare`'s report for the same
-    ``inst``, ``branch`` and ``k``; seat assignments are read from the final
-    accumulated pools of its two runs, so the mechanism does not run again.
+    ``inst``, ``branch`` and ``k``; seat assignments are read from the seat
+    ledgers of its two runs, so nothing is chosen again.
     Raises :class:`PreconditionUnmet` when the activated shadow stays empty,
     and :class:`ImprovementChainError` instead of guessing when the walk
     cannot be completed from the recorded assignments.
     """
     baseline = report.baseline
-    mod_inst = flip_transfer(inst, branch, k)
-    base_slot_of = {cid: slot for slot, cid in _slot_assignments(inst, report.baseline_pools).items()}
-    mod_fill = _slot_assignments(mod_inst, report.modified_pools)
+    held = holdings(inst, baseline)
+    base_slot_of = {cid: slot for slot, cid in report.baseline_seats.items()}
+    mod_fill = report.modified_seats
 
     activated = SlotId(branch, SHADOW, k)
     x = mod_fill.get(activated)
@@ -196,7 +176,7 @@ def improvement_chain(inst: Instance, report: ComparisonReport, branch: BranchId
     while True:
         added.append(x)
         agent = inst.contract_index[x].agent
-        z = assigned_contract(inst, baseline, agent)
+        z = held.get(agent)
         if z is None:
             break
         removed.append(z)
@@ -405,9 +385,14 @@ def random_added_contracts(
     count: int = 1,
     agent: AgentId | None = None,
 ) -> list[AddedContract]:
-    """Draw new contracts with valid placements for the requested mode."""
+    """Draw new contracts with valid placements for the requested mode;
+    raises :class:`~sspwct.model.InputError` on a market with no agent or no
+    branch to draw from."""
     agents = list(inst.agents)
     branches = list(inst.branches)
+    for missing, drawn in (("agent", agents), ("branch", branches)):
+        if not drawn:
+            raise InputError(f"cannot add contracts: the instance has no {missing}")
     if mode == MODE_SINGLE_AGENT and agent is None:
         agent = rng.choice(agents)
     additions: list[AddedContract] = []

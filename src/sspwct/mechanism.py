@@ -22,7 +22,8 @@ traces are unchanged (by Hirata & Kasuya's order independence, the outcome
 would not depend on that order anyway).  Each step's ``pools`` is a new
 dict that shares the previous step's frozensets except for the branch
 proposed to, so a trace holds one new pool per step instead of a copy of
-every pool.
+every pool.  The trace keeps each branch's choice from its final pool, so
+the seat ledger is read off the run, not chosen again.
 
 Stability is verified by brute force on one path, :func:`stability_report`:
 feasibility, individual rationality and an exhaustive search over candidate
@@ -33,11 +34,12 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping
 
 from .choice import ChoiceResult, sspwct_choose
-from .model import AgentId, BranchId, ContractId, InputError, Instance, Outcome, outcome_violations
+from .model import AgentId, BranchId, ContractId, InputError, Instance, Outcome, SlotId, outcome_violations
 
 POLICY_LEX = "lex"
 POLICY_RANDOM = "random"
@@ -62,8 +64,22 @@ class ComStep:
 
 @dataclass(frozen=True)
 class ComTrace:
+    """One COM run: its steps, its outcome and ``choices``, each branch's
+    choice from its final pool (a branch nobody proposed to has none)."""
+
     steps: tuple[ComStep, ...]
     outcome: Outcome
+    choices: Mapping[BranchId, ChoiceResult]
+
+    @cached_property
+    def seats(self) -> dict[SlotId, ContractId]:
+        """The seat ledger, occupied seat -> contract, built when first read."""
+        return {
+            slot: fill.contract
+            for result in self.choices.values()
+            for slot, fill in result.per_slot.items()
+            if fill.contract is not None
+        }
 
     def to_json(self) -> dict:
         """Steps share their unchanged pools, so each distinct pool is sorted
@@ -115,6 +131,7 @@ def cumulative_offer(inst: Instance, policy: str = POLICY_LEX, seed: int = 0) ->
 
     pools: dict[BranchId, frozenset] = {b: frozenset() for b in inst.branches}
     current: dict[BranchId, frozenset] = dict(pools)
+    choices: dict[BranchId, ChoiceResult] = {}
     rejected: set[ContractId] = set()
     cursor = dict.fromkeys(inst.agents, 0)  # first not-yet-rejected contract
     held = dict.fromkeys(inst.agents, 0)  # contracts in the chosen sets
@@ -135,7 +152,8 @@ def cumulative_offer(inst: Instance, policy: str = POLICY_LEX, seed: int = 0) ->
         branch = index[cid].branch
         pools = dict(pools)
         pools[branch] = pool = pools[branch] | {cid}
-        old, new = current[branch], branch_choice(inst, branch, pool).chosen
+        choices[branch] = result = branch_choice(inst, branch, pool)
+        old, new = current[branch], result.chosen
         current[branch] = new
         # only the proposer and the agents in this branch's chosen diff change
         touched = {agent}
@@ -159,15 +177,15 @@ def cumulative_offer(inst: Instance, policy: str = POLICY_LEX, seed: int = 0) ->
         verdict = "held" if cid in new else "rejected"
         steps.append(ComStep(len(steps) + 1, agent, cid, verdict, pools))
 
-    outcome = frozenset().union(*current.values()) if current else frozenset()
-    return ComTrace(tuple(steps), outcome)
+    outcome = frozenset().union(*current.values())
+    return ComTrace(tuple(steps), outcome, choices)
 
 
-def assigned_contract(inst: Instance, outcome: Outcome, agent: AgentId) -> ContractId | None:
-    for cid in outcome:
-        if inst.contract_index[cid].agent == agent:
-            return cid
-    return None
+def holdings(inst: Instance, outcome: Outcome) -> dict[AgentId, ContractId]:
+    """Agent -> the contract she holds in ``outcome`` (agents holding nothing
+    are absent; a feasible outcome holds one contract per agent)."""
+    index = inst.contract_index
+    return {index[c].agent: c for c in outcome}
 
 
 def _branch_part(inst: Instance, outcome: Outcome, branch: BranchId) -> frozenset:
@@ -203,7 +221,7 @@ def find_blocking_set(
     restricted to sets with one contract per agent.
     """
     index = inst.contract_index
-    held = {index[c].agent: c for c in outcome}
+    held = holdings(inst, outcome)
     for branch in inst.branches:
         universe = branch_universe(inst, branch, bound, "blocking enumeration")
         out_b = _branch_part(inst, outcome, branch)

@@ -24,9 +24,9 @@ from .choice import ChoiceResult, completion_choose, sspwct_choose
 from .mechanism import (
     DEFAULT_BLOCKING_BOUND,
     InstanceTooLarge,
-    assigned_contract,
     branch_universe,
     cumulative_offer,
+    holdings,
     stability_report,
 )
 from .model import ORIGINAL, AgentId, BranchConfig, BranchId, Contract, ContractId, InputError, Instance
@@ -42,7 +42,7 @@ MISREPORT_BOUND = 4
 @dataclass(frozen=True)
 class PropertyVerdict:
     name: str
-    status: str  # "pass" or "fail"
+    status: str  # "pass", "fail" or, for a merged verdict that checked nothing, "vacuous"
     witness: Mapping | None
     instances_checked: int
 
@@ -68,11 +68,13 @@ def _failed(name: str, checked: int, witness: Mapping) -> PropertyVerdict:
 
 
 def merge_verdicts(name: str, verdicts: Sequence[PropertyVerdict]) -> PropertyVerdict:
+    """The first failure among ``verdicts``, else a pass; a pass on zero
+    checks is ``"vacuous"``, which is not :attr:`~PropertyVerdict.ok`."""
     checked = sum(v.instances_checked for v in verdicts)
     for v in verdicts:
-        if not v.ok:
+        if v.status == "fail":
             return _failed(name, checked, v.witness or {})
-    return _passed(name, checked)
+    return PropertyVerdict(name, "pass" if checked else "vacuous", None, checked)
 
 
 def _offer_sets(inst: Instance, branch: BranchId, bound: int, what: str) -> Iterator[frozenset]:
@@ -138,7 +140,7 @@ def check_substitutability(
     universe = inst.contracts_of_branch.get(branch, ())
     checked = 0
     for offers, chosen in table.items():
-        for z in offers - chosen:
+        for z in sorted(offers - chosen):
             for z2 in universe:
                 if z2 in offers:
                     continue
@@ -168,7 +170,7 @@ def check_irc(
     table = _chosen_table(inst, branch, bound, "the IRC check", rule)
     checked = 0
     for offers, chosen in table.items():
-        for x in offers - chosen:
+        for x in sorted(offers - chosen):
             checked += 1
             if table[offers - {x}] != chosen:
                 return _failed(
@@ -196,7 +198,7 @@ def check_lad(
     table = _chosen_table(inst, branch, bound, "the LAD check", rule)
     checked = 0
     for offers, chosen in table.items():
-        for x in offers:
+        for x in sorted(offers):
             checked += 1
             if len(table[offers - {x}]) > len(chosen):
                 return _failed(
@@ -283,16 +285,16 @@ def check_strategy_proofness(inst: Instance, limit: int = MISREPORT_BOUND) -> Pr
                 f"agent {agent} has {len(owned)} contracts; misreport enumeration is "
                 f"exhaustive and capped at {limit}"
             )
-    truthful = cumulative_offer(inst).outcome
+    truthful = holdings(inst, cumulative_offer(inst).outcome)
     checked = 0
     for agent in inst.agents:
-        truth_cid = assigned_contract(inst, truthful, agent)
+        truth_cid = truthful.get(agent)
         for report in misreports(inst.contracts_of_agent.get(agent, ())):
             if report == inst.preferences.get(agent, ()):
                 continue
             checked += 1
             deviated = cumulative_offer(inst.with_preference(agent, report)).outcome
-            got = assigned_contract(inst, deviated, agent)
+            got = holdings(inst, deviated).get(agent)
             if inst.prefers(agent, got, truth_cid):
                 return _failed(
                     "strategy-proofness",
@@ -403,8 +405,7 @@ def check_respects_improvements(
 ) -> PropertyVerdict:
     """Raising the agent's priorities never makes her worse off under the
     mechanism, for ``trials`` randomly generated improvements."""
-    base_outcome = cumulative_offer(inst).outcome
-    base_cid = assigned_contract(inst, base_outcome, agent)
+    base_cid = holdings(inst, cumulative_offer(inst).outcome).get(agent)
     checked = 0
     for trial in range(trials):
         improved = generate_improvement(inst, agent, seed=seed + trial)
@@ -413,7 +414,7 @@ def check_respects_improvements(
                 f"generated priority change for {agent} fails the improvement conditions"
             )
         checked += 1
-        new_cid = assigned_contract(inst, cumulative_offer(improved).outcome, agent)
+        new_cid = holdings(inst, cumulative_offer(improved).outcome).get(agent)
         if inst.prefers(agent, base_cid, new_cid):
             return _failed(
                 "respects-improvements",
@@ -477,42 +478,44 @@ def check_order_independence(inst: Instance, seeds: Sequence[int]) -> PropertyVe
 
 # -- suite runner --
 
-#: suite name -> its checks on one instance, given (inst, trials, seed,
-#: bound).  Each entry calls its ``check_*`` through the module global when
-#: it runs, so a rebinding of that global (as a tracer or a test makes)
-#: reaches every suite run.
-_SUITES: dict[str, Callable[[Instance, int, int, int], list[PropertyVerdict]]] = {
-    "completion": lambda inst, trials, seed, bound: [
+#: suite name -> (the property its verdicts name, its checks on one
+#: instance, given (inst, trials, seed, bound)).  Each entry calls its
+#: ``check_*`` through the module global when it runs, so a rebinding of
+#: that global (as a tracer or a test makes) reaches every suite run.
+_SUITES: dict[str, tuple[str, Callable[[Instance, int, int, int], list[PropertyVerdict]]]] = {
+    "completion": ("completion", lambda inst, trials, seed, bound: [
         check_completion(inst, b, bound) for b in inst.branches
-    ],
-    "substitutability": lambda inst, trials, seed, bound: [
+    ]),
+    "substitutability": ("substitutability", lambda inst, trials, seed, bound: [
         check_substitutability(inst, b, bound) for b in inst.branches
-    ],
-    "irc": lambda inst, trials, seed, bound: [check_irc(inst, b, bound) for b in inst.branches],
-    "lad": lambda inst, trials, seed, bound: [check_lad(inst, b, bound) for b in inst.branches],
-    "reduction": lambda inst, trials, seed, bound: [
+    ]),
+    "irc": ("irc", lambda inst, trials, seed, bound: [check_irc(inst, b, bound) for b in inst.branches]),
+    "lad": ("lad", lambda inst, trials, seed, bound: [check_lad(inst, b, bound) for b in inst.branches]),
+    "reduction": ("slot-specific-reduction", lambda inst, trials, seed, bound: [
         check_slot_specific_reduction(inst, b, bound) for b in inst.branches
-    ],
-    "stability": lambda inst, trials, seed, bound: [check_stability(inst, bound)],
-    "strategy-proofness": lambda inst, trials, seed, bound: [check_strategy_proofness(inst)],
-    "improvements": lambda inst, trials, seed, bound: [
+    ]),
+    "stability": ("stability", lambda inst, trials, seed, bound: [check_stability(inst, bound)]),
+    "strategy-proofness": ("strategy-proofness", lambda inst, trials, seed, bound: [
+        check_strategy_proofness(inst)
+    ]),
+    "improvements": ("respects-improvements", lambda inst, trials, seed, bound: [
         check_respects_improvements(inst, agent, max(1, trials // max(1, len(inst.agents))), seed)
         for agent in inst.agents
-    ],
-    "order-independence": lambda inst, trials, seed, bound: [
+    ]),
+    "order-independence": ("order-independence", lambda inst, trials, seed, bound: [
         check_order_independence(inst, list(range(seed + 1, seed + 1 + trials)))
-    ],
+    ]),
 }
 ALL_SUITES = tuple(_SUITES)
 
 
 def requested_suites(names: Sequence[str]) -> list[str]:
-    """The suites ``names`` asks for, ``"all"`` standing for every suite;
-    an unknown name raises :class:`~sspwct.model.InputError`."""
+    """The suites ``names`` asks for, each once, ``"all"`` standing for
+    every suite; an unknown name raises :class:`~sspwct.model.InputError`."""
     unknown = [s for s in names if s != "all" and s not in _SUITES]
     if unknown:
         raise InputError(f"unknown suite {unknown[0]!r}; expected one of {ALL_SUITES}")
-    return list(ALL_SUITES) if "all" in names else list(names)
+    return list(ALL_SUITES) if "all" in names else list(dict.fromkeys(names))
 
 
 def run_suite_on_instance(
@@ -521,9 +524,11 @@ def run_suite_on_instance(
     trials: int = 20,
     seed: int = 0,
     bound: int = EXHAUSTIVE_BOUND,
-) -> list[PropertyVerdict]:
-    """All requested checks on one instance (config checks run per branch)."""
-    return [v for suite in suites for v in _SUITES[suite](inst, trials, seed, bound)]
+) -> list[list[PropertyVerdict]]:
+    """Each requested suite's checks on one instance, one list per suite
+    (config checks run per branch, so a market without branches gives them
+    an empty list)."""
+    return [_SUITES[suite][1](inst, trials, seed, bound) for suite in suites]
 
 
 def run_suite(
@@ -534,9 +539,11 @@ def run_suite(
     bound: int = EXHAUSTIVE_BOUND,
     jobs: int = 1,
 ) -> list[PropertyVerdict]:
-    """Run the requested suites (see :func:`requested_suites`) over a batch,
-    merging verdicts per property; an unknown suite name and ``trials``
-    below 1 raise :class:`~sspwct.model.InputError` before any instance runs.
+    """Run the requested suites (see :func:`requested_suites`) over a batch
+    and merge each suite's verdicts into one (see :func:`merge_verdicts`:
+    a suite that checked nothing is ``"vacuous"``); an unknown suite name
+    and ``trials`` below 1 raise :class:`~sspwct.model.InputError` before
+    any instance runs.
 
     With ``jobs > 1`` the per-instance work fans out to a process pool;
     every check is a pure function of an immutable instance, so the workers
@@ -544,9 +551,8 @@ def run_suite(
     """
     if trials < 1:
         raise InputError(f"trials must be at least 1 (got {trials})")
-    run_one = partial(
-        run_suite_on_instance, suites=requested_suites(suites), trials=trials, seed=seed, bound=bound
-    )
+    suites = requested_suites(suites)
+    run_one = partial(run_suite_on_instance, suites=suites, trials=trials, seed=seed, bound=bound)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -554,8 +560,8 @@ def run_suite(
             batches = list(pool.map(run_one, instances))
     else:
         batches = [run_one(inst) for inst in instances]
-    by_name: dict[str, list[PropertyVerdict]] = {}
-    for batch in batches:
-        for verdict in batch:
-            by_name.setdefault(verdict.name, []).append(verdict)
-    return [merge_verdicts(name, vs) for name, vs in by_name.items()]
+    merged = []
+    for i, suite in enumerate(suites):
+        verdicts = [v for batch in batches for v in batch[i]]
+        merged.append(merge_verdicts(verdicts[0].name if verdicts else _SUITES[suite][0], verdicts))
+    return merged

@@ -3,9 +3,11 @@
 These are the straightforward versions the library's fast paths replaced:
 the seat merge rebuilt on every choice call, the choice rule walking it with
 dict bookkeeping, a cumulative offer process that rescans every agent each
-round and copies every branch's pool into every step, and a blocking search
-that rescans the outcome for every agent of every candidate set.  They are
-slow on purpose and must not be imported by ``sspwct`` itself.
+round and copies every branch's pool into every step, a blocking search
+that rescans the outcome for every agent of every candidate set, and the
+seat ledger and holder lookups that chose again from the final pools and
+scanned the outcome per agent.  They are slow on purpose and must not be
+imported by ``sspwct`` itself.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from itertools import combinations
 from typing import Iterable, Mapping
 
 from sspwct import mechanism
-from sspwct.choice import ChoiceResult, ForeignContract, SlotFill
+from sspwct.choice import ChoiceResult, ForeignContract, SlotFill, sspwct_choose
 from sspwct.mechanism import POLICY_LEX, POLICY_RANDOM, ComStep, ComTrace
 from sspwct.model import (
     ORIGINAL,
@@ -24,6 +26,7 @@ from sspwct.model import (
     Contract,
     ContractId,
     Instance,
+    Outcome,
     SlotId,
 )
 
@@ -106,6 +109,7 @@ def cumulative_offer(inst: Instance, policy: str = POLICY_LEX, seed: int = 0) ->
 
     pools: dict[BranchId, set[ContractId]] = {b: set() for b in inst.branches}
     current: dict[BranchId, frozenset] = {b: frozenset() for b in inst.branches}
+    choices: dict[BranchId, ChoiceResult] = {b: ChoiceResult(frozenset(), {}) for b in inst.branches}
     rejected: set[ContractId] = set()
     steps: list[ComStep] = []
 
@@ -132,6 +136,7 @@ def cumulative_offer(inst: Instance, policy: str = POLICY_LEX, seed: int = 0) ->
         branch = inst.contract_index[cid].branch
         pools[branch].add(cid)
         result = branch_choice(inst, branch, pools[branch])
+        choices[branch] = result
         current[branch] = result.chosen
         rejected |= pools[branch] - result.chosen
         verdict = "held" if cid in result.chosen else "rejected"
@@ -140,7 +145,7 @@ def cumulative_offer(inst: Instance, policy: str = POLICY_LEX, seed: int = 0) ->
         )
 
     outcome = frozenset().union(*current.values()) if current else frozenset()
-    return ComTrace(tuple(steps), outcome)
+    return ComTrace(tuple(steps), outcome, choices)
 
 
 def trace_to_json(trace: ComTrace) -> dict:
@@ -208,3 +213,22 @@ def best_in(inst: Instance, agent: AgentId, contracts: Iterable[ContractId]) -> 
         if best is None or inst.prefers(agent, cid, best):
             best = cid
     return best
+
+
+def slot_assignments(inst: Instance, pools: Mapping[BranchId, frozenset]) -> dict[SlotId, ContractId]:
+    """Per-seat view of the outcome, read off each branch's choice from its
+    final accumulated pool."""
+    placed: dict[SlotId, ContractId] = {}
+    for b, pool in pools.items():
+        result = sspwct_choose(inst.branches[b], pool, inst.contract_index)
+        for slot, fill in result.per_slot.items():
+            if fill.contract is not None:
+                placed[slot] = fill.contract
+    return placed
+
+
+def assigned_contract(inst: Instance, outcome: Outcome, agent: AgentId) -> ContractId | None:
+    for cid in outcome:
+        if inst.contract_index[cid].agent == agent:
+            return cid
+    return None

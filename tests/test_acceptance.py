@@ -17,10 +17,8 @@ from sspwct.comparative import (
     PARETO_DOMINATES,
     STRICTLY_WORSE,
     PreconditionUnmet,
-    _slot_assignments,
     add_contracts,
     add_original_slot,
-    apply_additions,
     flexibility_compare,
     improvement_chain,
     random_added_contracts,
@@ -348,9 +346,8 @@ def test_criterion_09b_bottom_contract_additions_never_hurt():
                             f"bit zeroed: {zeroed.to_json()}")
 
         if hurt:
-            # seat -> contract, read off each branch's choice from its final COM pool
-            before = _slot_assignments(inst, rep.baseline_pools)
-            after = _slot_assignments(apply_additions(inst, adds, MODE_BOTTOM), rep.modified_pools)
+            # seat -> contract, read off each branch's final choice in the two COM runs
+            before, after = rep.baseline_seats, rep.modified_seats
             enabled = [
                 (b, k) for b, cfg in sorted(inst.branches.items())
                 for k, bit in enumerate(cfg.transfer, start=1) if bit == 1

@@ -185,6 +185,18 @@ class TestOracle:
         assert code == 2 and out == ""
         assert "branch b has 3 contracts" in err and "capped at 2" in err
 
+    def test_vacuous_verdicts_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text(serialize_instance(make_instance([], {}, [])))
+        code, out, _ = run_cli(capsys, "oracle", str(path), "--suite", "all")
+        assert code == 3
+        verdicts = json.loads(out)["verdicts"]
+        assert len(verdicts) == 9
+        assert {v["property"] for v in verdicts if v["status"] == "vacuous"} == {
+            "completion", "substitutability", "irc", "lad", "slot-specific-reduction",
+            "strategy-proofness", "respects-improvements",
+        }
+
     def test_unknown_suite_exits_2(self, capsys, monkeypatch):
         def no_batch(*args):
             raise AssertionError("generated a batch for an unknown suite")
@@ -274,10 +286,20 @@ class TestExperiment:
         (("--theorem", "5", "--count", "-1"), "--count must be at least 1 (got -1)"),
         (("--theorem", "6", "--count", "0"), "--count must be at least 1 (got 0)"),
         (("--theorem", "3", "--slot", "1"), "--slot 1 needs --branch"),
+        (("--theorem", "4"), "cannot add a seat: the instance has no branch"),
+        (("--theorem", "5"), "cannot add contracts: the instance has no agent"),
+        (("--theorem", "5"), "cannot add contracts: the instance has no branch"),
+        (("--theorem", "6"), "cannot add contracts: the instance has no agent"),
+        (("--theorem", "6"), "cannot add contracts: the instance has no branch"),
     ])
     def test_bad_experiment_arguments_exit_2(self, tmp_path, capsys, flags, named):
         path = tmp_path / "inst.json"
-        write_contested_instance(path)
+        if named.endswith("has no branch"):
+            path.write_text(serialize_instance(make_instance([], {"A": ()}, [])))
+        elif named.endswith("has no agent"):
+            path.write_text(serialize_instance(make_instance([], {}, [branch(n=1)])))
+        else:
+            write_contested_instance(path)
         code, out, err = run_cli(capsys, "experiment", str(path), *flags)
         assert code == 2 and out == "" and named in err
 

@@ -1,9 +1,9 @@
 """Differential tests: the incremental cumulative offer process, the
-planned choice rules and the filtered blocking search against the
-straightforward implementations they replaced (kept in ``com_reference``).
-Traces must match exactly, step by step and pool by pool, for the
-deterministic and the seeded random policy; the reference side is
-serialized without the shared-pool memo."""
+planned choice rules, the filtered blocking search, and the seat ledger and
+holder map read off a COM run, against the straightforward implementations
+they replaced (kept in ``com_reference``).  Traces must match exactly, step
+by step and pool by pool, for the deterministic and the seeded random
+policy; the reference side is serialized without the shared-pool memo."""
 import random
 
 import pytest
@@ -11,7 +11,7 @@ import pytest
 import com_reference as ref
 from sspwct.choice import completion_choose, sspwct_choose
 from sspwct.generator import GeneratorConfig, generate_batch, generate_instance
-from sspwct.mechanism import cumulative_offer, find_blocking_set
+from sspwct.mechanism import cumulative_offer, find_blocking_set, holdings
 
 BATCHES = {
     "default": (GeneratorConfig(seed=3000), 100),
@@ -32,6 +32,25 @@ def test_traces_match_reference(batch):
             assert got.to_json() == ref.trace_to_json(want), (cfg.seed + i, policy, seed)
             steps += len(got.steps)
     assert steps > count  # the batch is not trivially empty
+
+
+@pytest.mark.parametrize("batch", sorted(BATCHES))
+def test_seat_ledger_and_holders_match_reference(batch):
+    # the ledger on the trace against the seats chosen again from the final
+    # pools, and the holder map against the per-agent scan of the outcome
+    cfg, count = BATCHES[batch]
+    seats = 0
+    for i, inst in enumerate(generate_batch(cfg, count)):
+        for policy, seed in POLICIES:
+            got = cumulative_offer(inst, policy=policy, seed=seed)
+            pools = got.steps[-1].pools if got.steps else {b: frozenset() for b in inst.branches}
+            assert got.seats == ref.slot_assignments(inst, pools), (cfg.seed + i, policy, seed)
+            held = holdings(inst, got.outcome)
+            for agent in inst.agents:
+                assert held.get(agent) == ref.assigned_contract(inst, got.outcome, agent), (
+                    cfg.seed + i, policy, seed, agent)
+            seats += len(got.seats)
+    assert seats > count  # the batch is not trivially empty
 
 
 def test_large_market_lex_trace_matches_reference():

@@ -21,6 +21,7 @@ from sspwct.comparative import (
     random_added_contracts,
     random_slot_ranking,
 )
+from sspwct import choice, comparative, mechanism
 from sspwct.generator import GeneratorConfig, generate_instance
 from sspwct.mechanism import cumulative_offer
 from sspwct.model import Contract, SlotId, validate_instance
@@ -159,6 +160,43 @@ class TestImprovementChain:
             ).outcome
             assert chain == modified, (seed, sorted(chain), sorted(modified))
         assert ran >= 10
+
+    def test_theorem_3_chooses_only_inside_the_mechanism(self, monkeypatch):
+        # the comparison and the chain read seats and holders off the two COM
+        # runs, so every choice-rule call happens inside cumulative_offer
+        inside, outside = [], []
+
+        def com(*args, **kwargs):
+            inside.append(True)
+            try:
+                return mechanism.cumulative_offer(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        def rule(cfg, *args, **kwargs):
+            if not inside:
+                outside.append(cfg.id)
+            return real_choose(cfg, *args, **kwargs)
+
+        real_choose = choice._choose
+        monkeypatch.setattr(comparative, "cumulative_offer", com)
+        monkeypatch.setattr(choice, "_choose", rule)
+        chains = 0
+        for seed in range(60):
+            inst = generate_instance(
+                GeneratorConfig(seed=4000 + seed, density=0.5, transfer_density=0.3)
+            )
+            target = first_zero_bit(inst)
+            if target is None:
+                continue
+            report = flexibility_compare(inst, *target)
+            try:
+                improvement_chain(inst, report, *target)
+                chains += 1
+            except PreconditionUnmet:
+                pass
+        assert chains >= 5
+        assert outside == []
 
     def test_known_divergence_chain_ends_before_offpath_upgrade(self):
         """The literal chain stops at the first agent who was unmatched, but

@@ -2,10 +2,10 @@ import pytest
 
 from sspwct.mechanism import (
     InstanceTooLarge,
-    assigned_contract,
     branch_choice,
     cumulative_offer,
     find_blocking_set,
+    holdings,
     is_individually_rational,
     stability_report,
 )
@@ -206,6 +206,6 @@ class TestStabilityReport:
 
 def test_assigned_contract_lookup():
     inst = contested_instance()
-    outcome = cumulative_offer(inst).outcome
-    assert assigned_contract(inst, outcome, "A") == "x"
-    assert assigned_contract(inst, outcome, "B") is None
+    held = holdings(inst, cumulative_offer(inst).outcome)
+    assert held.get("A") == "x"
+    assert held.get("B") is None

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -127,6 +131,44 @@ class TestMutationSensitivity:
         verdict = check_lad(inst, "b", rule=stingy_rule)
         assert not verdict.ok
         assert len(verdict.witness["smaller_set_chose"]) > len(verdict.witness["larger_set_chose"])
+
+
+#: Runs the three table-based checks on corrupted rules over a generated
+#: batch and prints every verdict's JSON.
+_CORRUPTED_VERDICTS_SCRIPT = """
+import json
+from sspwct.choice import sspwct_choose
+from sspwct.generator import GeneratorConfig, generate_instance
+from sspwct.oracles import check_irc, check_lad, check_substitutability
+from test_oracles import parity_flipping_rule, stingy_rule
+
+checks = ((check_substitutability, sspwct_choose), (check_irc, parity_flipping_rule),
+          (check_lad, stingy_rule))
+verdicts = [
+    check(inst, b, rule=rule).to_json()
+    for inst in (generate_instance(GeneratorConfig(seed=seed)) for seed in range(50, 90))
+    for b in inst.branches
+    for check, rule in checks
+]
+print(json.dumps(verdicts))
+"""
+
+
+def test_fail_verdicts_do_not_depend_on_the_hash_seed():
+    # offer sets are frozensets of strings, whose order follows the hash seed;
+    # the counts and witnesses of a fail verdict must not
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", _CORRUPTED_VERDICTS_SCRIPT],
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count('"status": "fail"') >= 30
 
 
 class TestChoiceOracles:
@@ -322,7 +364,7 @@ class TestOrderIndependenceAndStability:
             [branch(n=2, location=(2, 2), original=[("x", "y"), ("x2",)])],
         )
         monkeypatch.setattr(
-            oracles, "cumulative_offer", lambda inst: ComTrace((), frozenset(outcome))
+            oracles, "cumulative_offer", lambda inst: ComTrace((), frozenset(outcome), {})
         )
         verdict = check_stability(inst)
         assert not verdict.ok
@@ -349,6 +391,27 @@ class TestSuiteRunner:
         verdicts = run_suite(instances, ["all"], trials=4, seed=1)
         assert {v.name for v in verdicts} >= {"completion", "stability", "strategy-proofness"}
         assert all(v.ok for v in verdicts)
+
+    def test_zero_checks_merge_to_a_vacuous_verdict(self):
+        # every requested suite yields one verdict, also when no instance
+        # gave it anything to check, and such a verdict is not ok
+        verdicts = run_suite([make_instance([], {}, [])], ["all"], trials=3)
+        assert [(v.name, v.status, v.instances_checked) for v in verdicts] == [
+            ("completion", "vacuous", 0),
+            ("substitutability", "vacuous", 0),
+            ("irc", "vacuous", 0),
+            ("lad", "vacuous", 0),
+            ("slot-specific-reduction", "vacuous", 0),
+            ("stability", "pass", 1),
+            ("strategy-proofness", "vacuous", 0),
+            ("respects-improvements", "vacuous", 0),
+            ("order-independence", "pass", 3),
+        ]
+        assert [v.ok for v in verdicts] == [v.status == "pass" for v in verdicts]
+        lone = make_instance([], {"A": ()}, [branch(n=1)])
+        verdicts = run_suite([lone], ["substitutability", "irc", "lad", "completion"])
+        assert [(v.status, v.instances_checked) for v in verdicts] == [("vacuous", 0)] * 3 + [("pass", 1)]
+        assert merge_verdicts("lad", []).status == "vacuous"
 
     def test_run_suite_parallel_matches_serial(self):
         instances = [
