@@ -13,6 +13,7 @@ at the end of every list.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Any, Iterable, Mapping, Sequence
@@ -335,12 +336,14 @@ def validate_instance(inst: Instance) -> list[str]:
 
 
 def outcome_violations(inst: Instance, assignment: Iterable[ContractId]) -> list[str]:
-    """Feasibility check for an outcome: at most one contract per agent, at
-    most n_b per branch, all contract ids known."""
+    """Feasibility check for an outcome: each contract id listed once and
+    known, at most one contract per agent, at most n_b per branch."""
     v: list[str] = []
     per_agent: dict[AgentId, int] = {}
     per_branch: dict[BranchId, int] = {}
-    for cid in assignment:
+    for cid, times in Counter(assignment).items():
+        if times > 1:
+            v.append(f"outcome: contract {cid} listed {times} times")
         c = inst.contract_index.get(cid)
         if c is None:
             v.append(f"outcome: unknown contract {cid}")

@@ -4,9 +4,11 @@ contracts, law of aggregate demand, strategy-proofness, respect for
 improvements, and proposal-order independence.
 
 Each check is exhaustive within an explicit bound or randomized with an
-explicit seed, and returns a :class:`PropertyVerdict`.  A fail verdict
-always carries a witness payload that can be replayed through the public
-API to reproduce the violation.
+explicit seed.  It yields one item per elementary check, ``None`` when the
+check held and a witness payload when it failed, and :func:`_verdict` turns
+that stream into a :class:`PropertyVerdict`: ``"fail"`` at the first
+witness, else ``"pass"``, or ``"vacuous"`` when nothing was checked.  A
+witness can be replayed through the public API to reproduce the violation.
 
 The checks that take a ``rule`` accept any callable with the signature of
 ``completion_choose``; tests exploit this to confirm that each oracle
@@ -42,7 +44,7 @@ MISREPORT_BOUND = 4
 @dataclass(frozen=True)
 class PropertyVerdict:
     name: str
-    status: str  # "pass", "fail" or, for a merged verdict that checked nothing, "vacuous"
+    status: str  # "pass", "fail", or "vacuous" when nothing was checked (see _verdict)
     witness: Mapping | None
     instances_checked: int
 
@@ -59,39 +61,44 @@ class PropertyVerdict:
         }
 
 
-def _passed(name: str, checked: int) -> PropertyVerdict:
-    return PropertyVerdict(name, "pass", None, checked)
-
-
-def _failed(name: str, checked: int, witness: Mapping) -> PropertyVerdict:
-    return PropertyVerdict(name, "fail", witness, checked)
-
-
-def merge_verdicts(name: str, verdicts: Sequence[PropertyVerdict]) -> PropertyVerdict:
-    """The first failure among ``verdicts``, else a pass; a pass on zero
-    checks is ``"vacuous"``, which is not :attr:`~PropertyVerdict.ok`."""
-    checked = sum(v.instances_checked for v in verdicts)
-    for v in verdicts:
-        if v.status == "fail":
-            return _failed(name, checked, v.witness or {})
+def _verdict(name: str, witnesses: Iterable[Mapping | None]) -> PropertyVerdict:
+    """The verdict on a stream of elementary checks, each ``None`` when it
+    held or its witness when it failed: ``"fail"`` at the first witness,
+    which stops the stream, else ``"pass"``, or ``"vacuous"`` (not
+    :attr:`~PropertyVerdict.ok`) when the stream was empty.
+    ``instances_checked`` counts the items read."""
+    checked = 0
+    for checked, witness in enumerate(witnesses, start=1):
+        if witness is not None:
+            return PropertyVerdict(name, "fail", witness, checked)
     return PropertyVerdict(name, "pass" if checked else "vacuous", None, checked)
 
 
-def _offer_sets(inst: Instance, branch: BranchId, bound: int, what: str) -> Iterator[frozenset]:
-    """Every subset of the branch's contracts, by size, then
-    lexicographically; the bound is checked before the first one."""
-    universe = branch_universe(inst, branch, bound, what)
-    return (frozenset(c) for size in range(len(universe) + 1) for c in combinations(universe, size))
+def merge_verdicts(name: str, verdicts: Sequence[PropertyVerdict]) -> PropertyVerdict:
+    """One verdict for a batch by the rule of :func:`_verdict`, with each
+    verdict that checked something as one item: the first failure's
+    witness, else a pass, or ``"vacuous"`` when nothing was checked;
+    ``instances_checked`` sums every verdict's count."""
+    merged = _verdict(name, (
+        v.witness or {} if v.status == "fail" else None
+        for v in verdicts
+        if v.status == "fail" or v.instances_checked
+    ))
+    return replace(merged, instances_checked=sum(v.instances_checked for v in verdicts))
 
 
-def _chosen_table(
-    inst: Instance, branch: BranchId, bound: int, what: str, rule: ChoiceRule
-) -> dict[frozenset, frozenset]:
-    """What ``rule`` chooses from every offer set of :func:`_offer_sets`,
-    for the checks that look up neighbouring offer sets."""
-    cfg = inst.branches[branch]
-    offer_sets = _offer_sets(inst, branch, bound, what)
-    return {offers: rule(cfg, offers, inst.contract_index).chosen for offers in offer_sets}
+def _choices(
+    inst: Instance, cfg: BranchConfig, bound: int, what: str, rule: ChoiceRule
+) -> Iterator[tuple[frozenset, frozenset]]:
+    """Every offer set, each subset of the branch's contracts by size, then
+    lexicographically, with what ``rule`` chooses from it; the bound is
+    checked before the first one.  Its ``dict`` is the choice table of the
+    checks that look up neighbouring offer sets."""
+    universe = branch_universe(inst, cfg.id, bound, what)
+    for size in range(len(universe) + 1):
+        for combo in combinations(universe, size):
+            offers = frozenset(combo)
+            yield offers, rule(cfg, offers, inst.contract_index).chosen
 
 
 # -- choice-rule properties --
@@ -107,25 +114,19 @@ def check_completion(
     """For every offer set, the completion either agrees with the base rule
     or holds two contracts of one agent."""
     cfg = inst.branches[branch]
-    for checked, offers in enumerate(_offer_sets(inst, branch, bound, "the completion check"), start=1):
-        base = rule(cfg, offers, inst.contract_index).chosen
-        comp = completion_rule(cfg, offers, inst.contract_index).chosen
-        if comp == base:
-            continue
-        agents = [inst.contract_index[c].agent for c in comp]
-        if len(set(agents)) < len(agents):
-            continue
-        return _failed(
-            "completion",
-            checked,
-            {
-                "branch": branch,
-                "offers": sorted(offers),
-                "chosen": sorted(base),
-                "completion": sorted(comp),
-            },
-        )
-    return _passed("completion", checked)
+    choices = (
+        (offers, base, completion_rule(cfg, offers, inst.contract_index).chosen)
+        for offers, base in _choices(inst, cfg, bound, "the completion check", rule)
+    )
+    return _verdict("completion", (
+        {
+            "branch": branch,
+            "offers": sorted(offers),
+            "chosen": sorted(base),
+            "completion": sorted(comp),
+        } if comp != base and len({inst.contract_index[c].agent for c in comp}) == len(comp) else None
+        for offers, base, comp in choices
+    ))
 
 
 def check_substitutability(
@@ -136,28 +137,21 @@ def check_substitutability(
 ) -> PropertyVerdict:
     """Once rejected, always rejected: z out of C(Y + z) implies z out of
     C(Y + z + z'), for every Y, z, z'."""
-    table = _chosen_table(inst, branch, bound, "the substitutability check", rule)
+    table = dict(_choices(inst, inst.branches[branch], bound, "the substitutability check", rule))
     universe = inst.contracts_of_branch.get(branch, ())
-    checked = 0
-    for offers, chosen in table.items():
-        for z in sorted(offers - chosen):
-            for z2 in universe:
-                if z2 in offers:
-                    continue
-                checked += 1
-                if z in table[offers | {z2}]:
-                    return _failed(
-                        "substitutability",
-                        checked,
-                        {
-                            "branch": branch,
-                            "base_offers": sorted(offers),
-                            "rejected": z,
-                            "added": z2,
-                            "chosen_after": sorted(table[offers | {z2}]),
-                        },
-                    )
-    return _passed("substitutability", checked)
+    return _verdict("substitutability", (
+        {
+            "branch": branch,
+            "base_offers": sorted(offers),
+            "rejected": z,
+            "added": z2,
+            "chosen_after": sorted(table[offers | {z2}]),
+        } if z in table[offers | {z2}] else None
+        for offers, chosen in table.items()
+        for z in sorted(offers - chosen)
+        for z2 in universe
+        if z2 not in offers
+    ))
 
 
 def check_irc(
@@ -167,24 +161,18 @@ def check_irc(
     rule: ChoiceRule = completion_choose,
 ) -> PropertyVerdict:
     """Dropping a rejected contract never changes the chosen set."""
-    table = _chosen_table(inst, branch, bound, "the IRC check", rule)
-    checked = 0
-    for offers, chosen in table.items():
-        for x in sorted(offers - chosen):
-            checked += 1
-            if table[offers - {x}] != chosen:
-                return _failed(
-                    "irc",
-                    checked,
-                    {
-                        "branch": branch,
-                        "offers": sorted(offers),
-                        "removed": x,
-                        "chosen": sorted(chosen),
-                        "chosen_without": sorted(table[offers - {x}]),
-                    },
-                )
-    return _passed("irc", checked)
+    table = dict(_choices(inst, inst.branches[branch], bound, "the IRC check", rule))
+    return _verdict("irc", (
+        {
+            "branch": branch,
+            "offers": sorted(offers),
+            "removed": x,
+            "chosen": sorted(chosen),
+            "chosen_without": sorted(table[offers - {x}]),
+        } if table[offers - {x}] != chosen else None
+        for offers, chosen in table.items()
+        for x in sorted(offers - chosen)
+    ))
 
 
 def check_lad(
@@ -195,24 +183,18 @@ def check_lad(
 ) -> PropertyVerdict:
     """Law of aggregate demand over one-element extensions, which implies
     the general nested-pair statement by induction."""
-    table = _chosen_table(inst, branch, bound, "the LAD check", rule)
-    checked = 0
-    for offers, chosen in table.items():
-        for x in sorted(offers):
-            checked += 1
-            if len(table[offers - {x}]) > len(chosen):
-                return _failed(
-                    "lad",
-                    checked,
-                    {
-                        "branch": branch,
-                        "offers": sorted(offers),
-                        "removed": x,
-                        "smaller_set_chose": sorted(table[offers - {x}]),
-                        "larger_set_chose": sorted(chosen),
-                    },
-                )
-    return _passed("lad", checked)
+    table = dict(_choices(inst, inst.branches[branch], bound, "the LAD check", rule))
+    return _verdict("lad", (
+        {
+            "branch": branch,
+            "offers": sorted(offers),
+            "removed": x,
+            "smaller_set_chose": sorted(table[offers - {x}]),
+            "larger_set_chose": sorted(chosen),
+        } if len(table[offers - {x}]) > len(chosen) else None
+        for offers, chosen in table.items()
+        for x in sorted(offers)
+    ))
 
 
 # -- reduction to plain slot-specific priorities --
@@ -248,21 +230,19 @@ def check_slot_specific_reduction(
     with the reference slot-specific rule on every offer set."""
     cfg = inst.branches[branch]
     zeroed = replace(cfg, transfer=(0,) * cfg.n)
-    for checked, offers in enumerate(_offer_sets(inst, branch, bound, "the reduction check"), start=1):
-        ours = sspwct_choose(zeroed, offers, inst.contract_index).chosen
-        reference = slot_specific_reference(zeroed, offers, inst.contract_index).chosen
-        if ours != reference:
-            return _failed(
-                "slot-specific-reduction",
-                checked,
-                {
-                    "branch": branch,
-                    "offers": sorted(offers),
-                    "sspwct": sorted(ours),
-                    "reference": sorted(reference),
-                },
-            )
-    return _passed("slot-specific-reduction", checked)
+    choices = (
+        (offers, ours, slot_specific_reference(zeroed, offers, inst.contract_index).chosen)
+        for offers, ours in _choices(inst, zeroed, bound, "the reduction check", sspwct_choose)
+    )
+    return _verdict("slot-specific-reduction", (
+        {
+            "branch": branch,
+            "offers": sorted(offers),
+            "sspwct": sorted(ours),
+            "reference": sorted(reference),
+        } if ours != reference else None
+        for offers, ours, reference in choices
+    ))
 
 
 # -- strategy-proofness --
@@ -286,27 +266,21 @@ def check_strategy_proofness(inst: Instance, limit: int = MISREPORT_BOUND) -> Pr
                 f"exhaustive and capped at {limit}"
             )
     truthful = holdings(inst, cumulative_offer(inst).outcome)
-    checked = 0
-    for agent in inst.agents:
-        truth_cid = truthful.get(agent)
-        for report in misreports(inst.contracts_of_agent.get(agent, ())):
-            if report == inst.preferences.get(agent, ()):
-                continue
-            checked += 1
-            deviated = cumulative_offer(inst.with_preference(agent, report)).outcome
-            got = holdings(inst, deviated).get(agent)
-            if inst.prefers(agent, got, truth_cid):
-                return _failed(
-                    "strategy-proofness",
-                    checked,
-                    {
-                        "agent": agent,
-                        "misreport": list(report),
-                        "truthful_assignment": truth_cid,
-                        "deviation_assignment": got,
-                    },
-                )
-    return _passed("strategy-proofness", checked)
+    deviations = (
+        (agent, report, holdings(inst, cumulative_offer(inst.with_preference(agent, report)).outcome))
+        for agent in inst.agents
+        for report in misreports(inst.contracts_of_agent.get(agent, ()))
+        if report != inst.preferences.get(agent, ())
+    )
+    return _verdict("strategy-proofness", (
+        {
+            "agent": agent,
+            "misreport": list(report),
+            "truthful_assignment": truthful.get(agent),
+            "deviation_assignment": held.get(agent),
+        } if inst.prefers(agent, held.get(agent), truthful.get(agent)) else None
+        for agent, report, held in deviations
+    ))
 
 
 # -- priority improvements --
@@ -406,27 +380,24 @@ def check_respects_improvements(
     """Raising the agent's priorities never makes her worse off under the
     mechanism, for ``trials`` randomly generated improvements."""
     base_cid = holdings(inst, cumulative_offer(inst).outcome).get(agent)
-    checked = 0
-    for trial in range(trials):
-        improved = generate_improvement(inst, agent, seed=seed + trial)
+
+    def witness(trial_seed: int) -> dict | None:
+        improved = generate_improvement(inst, agent, seed=trial_seed)
         if not is_priority_improvement(inst, improved, agent):
             raise RuntimeError(
                 f"generated priority change for {agent} fails the improvement conditions"
             )
-        checked += 1
         new_cid = holdings(inst, cumulative_offer(improved).outcome).get(agent)
-        if inst.prefers(agent, base_cid, new_cid):
-            return _failed(
-                "respects-improvements",
-                checked,
-                {
-                    "agent": agent,
-                    "seed": seed + trial,
-                    "baseline_assignment": base_cid,
-                    "improved_assignment": new_cid,
-                },
-            )
-    return _passed("respects-improvements", checked)
+        if not inst.prefers(agent, base_cid, new_cid):
+            return None
+        return {
+            "agent": agent,
+            "seed": trial_seed,
+            "baseline_assignment": base_cid,
+            "improved_assignment": new_cid,
+        }
+
+    return _verdict("respects-improvements", map(witness, range(seed, seed + trials)))
 
 
 # -- stability of the mechanism's outcome --
@@ -439,17 +410,17 @@ def check_stability(inst: Instance, bound: int = DEFAULT_BLOCKING_BOUND) -> Prop
     of those that fails."""
     outcome = cumulative_offer(inst).outcome
     report = stability_report(inst, outcome, bound)
-    if report.stable:
-        return _passed("stability", 1)
-    witness: dict = {"outcome": sorted(outcome)}
-    if report.violations:
-        witness["violations"] = list(report.violations)
-    elif not report.individually_rational:
-        witness["violations"] = ["not individually rational"]
-    else:
-        branch, contracts = report.blocking
-        witness.update(blocking_branch=branch, blocking_set=sorted(contracts))
-    return _failed("stability", 1, witness)
+    witness: dict | None = None
+    if not report.stable:
+        witness = {"outcome": sorted(outcome)}
+        if report.violations:
+            witness["violations"] = list(report.violations)
+        elif not report.individually_rational:
+            witness["violations"] = ["not individually rational"]
+        else:
+            branch, contracts = report.blocking
+            witness.update(blocking_branch=branch, blocking_set=sorted(contracts))
+    return _verdict("stability", [witness])
 
 
 # -- order independence --
@@ -459,21 +430,15 @@ def check_order_independence(inst: Instance, seeds: Sequence[int]) -> PropertyVe
     """The outcome must not depend on who proposes when: the lexicographic
     policy and every seeded random policy must produce the same set."""
     reference = cumulative_offer(inst, policy="lex").outcome
-    checked = 0
-    for seed in seeds:
-        checked += 1
-        other = cumulative_offer(inst, policy="random", seed=seed).outcome
-        if other != reference:
-            return _failed(
-                "order-independence",
-                checked,
-                {
-                    "seed": seed,
-                    "lexicographic_outcome": sorted(reference),
-                    "random_outcome": sorted(other),
-                },
-            )
-    return _passed("order-independence", checked)
+    others = ((seed, cumulative_offer(inst, policy="random", seed=seed).outcome) for seed in seeds)
+    return _verdict("order-independence", (
+        {
+            "seed": seed,
+            "lexicographic_outcome": sorted(reference),
+            "random_outcome": sorted(other),
+        } if other != reference else None
+        for seed, other in others
+    ))
 
 
 # -- suite runner --
@@ -542,8 +507,8 @@ def run_suite(
     """Run the requested suites (see :func:`requested_suites`) over a batch
     and merge each suite's verdicts into one (see :func:`merge_verdicts`:
     a suite that checked nothing is ``"vacuous"``); an unknown suite name
-    and ``trials`` below 1 raise :class:`~sspwct.model.InputError` before
-    any instance runs.
+    and ``trials`` or ``jobs`` below 1 raise
+    :class:`~sspwct.model.InputError` before any instance runs.
 
     With ``jobs > 1`` the per-instance work fans out to a process pool;
     every check is a pure function of an immutable instance, so the workers
@@ -551,6 +516,8 @@ def run_suite(
     """
     if trials < 1:
         raise InputError(f"trials must be at least 1 (got {trials})")
+    if jobs < 1:
+        raise InputError(f"jobs must be at least 1 (got {jobs})")
     suites = requested_suites(suites)
     run_one = partial(run_suite_on_instance, suites=suites, trials=trials, seed=seed, bound=bound)
     if jobs > 1:

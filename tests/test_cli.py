@@ -137,6 +137,16 @@ class TestVerify:
         out_path.write_text(json.dumps({"assignment": ["x", "nope"]}))
         assert run_cli(capsys, "verify", str(path), str(out_path))[0] == 2
 
+    def test_repeated_contract_id_is_named_once(self, tmp_path, capsys):
+        # one contract listed twice is not an agent holding two contracts
+        path = tmp_path / "inst.json"
+        write_contested_instance(path)
+        out_path = tmp_path / "outcome.json"
+        out_path.write_text(json.dumps({"assignment": ["x", "x"]}))
+        assert run_cli(capsys, "verify", str(path), str(out_path)) == (
+            2, "", f"infeasible outcome {out_path}:\n  outcome: contract x listed 2 times\n"
+        )
+
 
 class TestOracle:
     def test_generated_batch_all_suites_green(self, capsys):
@@ -213,6 +223,8 @@ class TestOracle:
         (("--suite", ","), "--suite names no suite"),
         (("--count", "3", "--trials", "0", "--suite", "order-independence"),
          "trials must be at least 1 (got 0)"),
+        (("--jobs", "0"), "jobs must be at least 1 (got 0)"),
+        (("--jobs", "-2"), "jobs must be at least 1 (got -2)"),
     ])
     def test_empty_batch_or_suite_list_exits_2(self, capsys, flags, named):
         code, out, err = run_cli(capsys, "oracle", "--gen", *flags)

@@ -114,6 +114,12 @@ RAISE_SITES = [
         None,
         id="cumulative_offer-policy",
     ),
+    pytest.param(
+        lambda: oracles.run_suite([MARKET], ["irc"], jobs=0),
+        "jobs must be at least 1 (got 0)",
+        ["oracle", "{path}", "--suite", "irc", "--jobs", "0"],
+        id="run_suite-jobs",
+    ),
 ]
 
 

@@ -7,6 +7,7 @@ import pytest
 from sspwct.model import (
     InputError,
     ParseError,
+    outcome_violations,
     parse_instance,
     serialize_instance,
     validate_instance,
@@ -46,6 +47,19 @@ def test_duplicate_in_preference_and_foreign_contract_listed():
     violations = validate_instance(inst)
     assert any("preference a: strict order violated" in v for v in violations)
     assert any("belongs to branch b2" in v for v in violations)
+
+
+def test_outcome_counts_a_repeated_contract_id_once():
+    inst = make_instance(
+        [("x", "a", "b"), ("y", "a2", "b")], {"a": ("x",), "a2": ("y",)}, [branch(n=1)]
+    )
+    assert outcome_violations(inst, ["x", "x", "y", "nope", "nope"]) == [
+        "outcome: contract x listed 2 times",
+        "outcome: contract nope listed 2 times",
+        "outcome: unknown contract nope",
+        "outcome: branch b holds 2 contracts, capacity 1",
+    ]
+    assert outcome_violations(inst, ["x", "x"]) == ["outcome: contract x listed 2 times"]
 
 
 def test_missing_preference_record_and_unknown_branch():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -171,18 +173,57 @@ def test_fail_verdicts_do_not_depend_on_the_hash_seed():
     assert outputs[0].count('"status": "fail"') >= 30
 
 
+def test_corrupted_rule_verdicts_are_pinned(capsys):
+    # the branches that give a check nothing to test are vacuous, not passes
+    exec(_CORRUPTED_VERDICTS_SCRIPT, {})
+    out = capsys.readouterr().out
+    statuses = [v["status"] for v in json.loads(out)]
+    assert (len(statuses), statuses.count("fail"), statuses.count("vacuous")) == (240, 64, 42)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d489b7aa6c8d5a012da3a2da5714e5092108a87a29930e81e4eb8ece0a7bf7f0"
+    )
+
+
+#: one agent, no contract, one one-seat branch
+LONE = make_instance([], {"A": ()}, [branch(n=1)])
+
+
+@pytest.mark.parametrize("check, status, checked", [
+    (lambda: check_completion(LONE, "b"), "pass", 1),  # the empty offer set
+    (lambda: check_substitutability(LONE, "b"), "vacuous", 0),
+    (lambda: check_irc(LONE, "b"), "vacuous", 0),
+    (lambda: check_lad(LONE, "b"), "vacuous", 0),
+    (lambda: check_slot_specific_reduction(LONE, "b"), "pass", 1),
+    (lambda: check_stability(LONE), "pass", 1),  # the one outcome
+    (lambda: check_strategy_proofness(LONE), "vacuous", 0),
+    (lambda: check_respects_improvements(LONE, "A", trials=0), "vacuous", 0),
+    (lambda: check_order_independence(LONE, seeds=[]), "vacuous", 0),
+], ids=["completion", "substitutability", "irc", "lad", "reduction", "stability",
+        "strategy-proofness", "improvements", "order-independence"])
+def test_a_check_of_nothing_is_vacuous(check, status, checked):
+    verdict = check()
+    assert (verdict.status, verdict.instances_checked, verdict.witness) == (status, checked, None)
+    assert verdict.ok == (status == "pass")
+
+
 class TestChoiceOracles:
     def test_pass_on_random_configs(self):
+        # a branch with nothing to check is vacuous, which is no failure;
+        # over the batch every check must pass
+        checks = (check_completion, check_substitutability, check_irc, check_lad,
+                  check_slot_specific_reduction)
+        verdicts = {check: [] for check in checks}
         for seed in range(40):
             inst = generate_instance(
                 GeneratorConfig(seed=seed, agents=3, branches=1, contracts_per_pair=(0, 2))
             )
             for b in inst.branches:
-                assert check_completion(inst, b).ok
-                assert check_substitutability(inst, b).ok
-                assert check_irc(inst, b).ok
-                assert check_lad(inst, b).ok
-                assert check_slot_specific_reduction(inst, b).ok
+                for check in checks:
+                    verdict = check(inst, b)
+                    assert verdict.status != "fail", (check.__name__, seed, verdict.witness)
+                    verdicts[check].append(verdict)
+        for check in checks:
+            assert merge_verdicts(check.__name__, verdicts[check]).status == "pass", check.__name__
 
     def test_completion_vacuous_on_empty_contract_set(self):
         inst = make_instance([], {}, [branch(n=2, location=(1, 2))])
@@ -442,6 +483,15 @@ class TestSuiteRunner:
         for suites in (["order-independence"], ["completion"]):
             with pytest.raises(InputError, match=rf"^trials must be at least 1 \(got {trials}\)$"):
                 run_suite([inst], suites, trials=trials)
+        assert ran == []
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_rejected(self, monkeypatch, jobs):
+        ran = []
+        monkeypatch.setattr(oracles, "check_irc", lambda *args: ran.append(args) or [])
+        inst = generate_instance(GeneratorConfig(seed=1))
+        with pytest.raises(InputError, match=rf"^jobs must be at least 1 \(got {jobs}\)$"):
+            run_suite([inst], ["irc"], jobs=jobs)
         assert ran == []
 
     def test_all_reaches_every_check_through_its_module_global(self, monkeypatch):
