@@ -17,10 +17,14 @@ seats:
   It may select two contracts of one agent, and in exchange it is
   substitutable, satisfies the irrelevance of rejected contracts, and the
   law of aggregate demand (see the oracles module for executable checks).
+
+Both return a :class:`ChoiceResult`: the chosen set plus one pick per seat
+of the seat plan, read through its seat ledger ``seats``.  Whether a seat
+was active is decided only here, and is not stored: shadow seat k was
+active exactly when bit k is 1 and original seat k is not in the ledger.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -31,45 +35,29 @@ class ForeignContract(ValueError):
     """An offered contract does not belong to the choosing branch."""
 
 
-@dataclass(frozen=True)
-class SlotFill:
-    """What one seat did: ``contract`` is the assignment (None if empty);
-    ``active`` is False for a shadow seat that never received capacity."""
-
-    contract: ContractId | None
-    active: bool
-
-
 class ChoiceResult:
-    """A branch's choice: the ``chosen`` set and what each seat did
-    (``per_slot``; an original seat was assigned iff its ``contract`` is set).
+    """A branch's choice: the ``chosen`` set, and the rule's ``picks`` over
+    the branch's seat ``plan``, one per seat (None for a seat left empty).
 
-    The choice rule records one pick per entry of the branch's seat plan;
-    ``per_slot`` is built from the picks when first read.  Passing it to the
-    constructor, as custom rules do, sets it directly.
+    ``seats``, the per-seat view, is built from them when first read.  A
+    rule that records no picks, as custom rules may, has an empty ``seats``.
     """
 
     def __init__(
         self,
         chosen: frozenset,
-        per_slot: Mapping[SlotId, SlotFill] | None = None,
-        *,
         plan: Sequence[SeatPlanEntry] = (),
         picks: Sequence[ContractId | None] = (),
     ) -> None:
         self.chosen = chosen
         self._plan = plan
         self._picks = picks
-        if per_slot is not None:
-            self.__dict__["per_slot"] = per_slot
 
     @cached_property
-    def per_slot(self) -> Mapping[SlotId, SlotFill]:
-        picks = self._picks
-        return {
-            slot: SlotFill(pick, paired < 0 or (bit == 1 and picks[paired] is None))
-            for (slot, paired, bit, _), pick in zip(self._plan, picks)
-        }
+    def seats(self) -> dict[SlotId, ContractId]:
+        """The seat ledger: each occupied seat -> its contract, in the
+        branch's processing order."""
+        return {slot: pick for (slot, *_), pick in zip(self._plan, self._picks) if pick is not None}
 
 
 def _choose(
@@ -108,7 +96,7 @@ def _choose(
             taken_ids.add(pick)
             taken_agents.add(contracts[pick].agent)
 
-    return ChoiceResult(frozenset(taken_ids), plan=plan, picks=picks)
+    return ChoiceResult(frozenset(taken_ids), plan, picks)
 
 
 def sspwct_choose(

@@ -236,8 +236,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc}")
     return EXIT_OK
 
 

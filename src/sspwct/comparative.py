@@ -307,15 +307,11 @@ def apply_additions(
         ranking.insert(a.pref_position, c.id)
 
         cfg = current.branches[c.branch]
-        originals = [list(r) for r in cfg.original_priorities]
-        shadows = [list(r) for r in cfg.shadow_priorities]
         for slot, pos in sorted(a.slot_positions.items()):
-            if slot.branch != c.branch:
-                raise ConditionViolation(
-                    f"contract {c.id} cannot be listed at foreign slot {slot}"
-                )
-            rows = originals if slot.kind == ORIGINAL else shadows
-            row = rows[slot.index - 1]
+            try:
+                row = list(cfg.priority(slot))
+            except KeyError as exc:
+                raise ConditionViolation(f"contract {c.id} cannot be listed: {exc.args[0]}") from None
             if mode == MODE_BOTTOM and pos != len(row):
                 raise ConditionViolation(
                     f"bottom mode: contract {c.id} must land at the end of {slot} "
@@ -324,17 +320,13 @@ def apply_additions(
             if not 0 <= pos <= len(row):
                 raise ConditionViolation(f"position {pos} out of range for slot {slot}")
             row.insert(pos, c.id)
+            cfg = cfg.with_ranking(slot, row)
 
-        new_cfg = replace(
-            cfg,
-            original_priorities=tuple(tuple(r) for r in originals),
-            shadow_priorities=tuple(tuple(r) for r in shadows),
-        )
         current = replace(
             current,
             contracts=current.contracts + (c,),
             preferences={**current.preferences, c.agent: tuple(ranking)},
-            branches={**current.branches, c.branch: new_cfg},
+            branches={**current.branches, c.branch: cfg},
         )
 
     problems = validate_instance(current)

@@ -22,8 +22,9 @@ traces are unchanged (by Hirata & Kasuya's order independence, the outcome
 would not depend on that order anyway).  Each step's ``pools`` is a new
 dict that shares the previous step's frozensets except for the branch
 proposed to, so a trace holds one new pool per step instead of a copy of
-every pool.  The trace keeps each branch's choice from its final pool, so
-the seat ledger is read off the run, not chosen again.
+every pool.  Per branch, COM keeps only its latest choice, whose chosen
+set is the old side of the next diff; the final choices' union is the
+outcome, and their merged ledgers are the trace's seat ledger.
 
 Stability is verified by brute force on one path, :func:`stability_report`:
 feasibility, individual rationality and an exhaustive search over candidate
@@ -73,13 +74,10 @@ class ComTrace:
 
     @cached_property
     def seats(self) -> dict[SlotId, ContractId]:
-        """The seat ledger, occupied seat -> contract, built when first read."""
-        return {
-            slot: fill.contract
-            for result in self.choices.values()
-            for slot, fill in result.per_slot.items()
-            if fill.contract is not None
-        }
+        """The seat ledger, occupied seat -> contract: the merge of the
+        branches' :attr:`~sspwct.choice.ChoiceResult.seats`, built when
+        first read."""
+        return {slot: cid for result in self.choices.values() for slot, cid in result.seats.items()}
 
     def to_json(self) -> dict:
         """Steps share their unchanged pools, so each distinct pool is sorted
@@ -130,7 +128,6 @@ def cumulative_offer(inst: Instance, policy: str = POLICY_LEX, seed: int = 0) ->
     preferences = inst.preferences
 
     pools: dict[BranchId, frozenset] = {b: frozenset() for b in inst.branches}
-    current: dict[BranchId, frozenset] = dict(pools)
     choices: dict[BranchId, ChoiceResult] = {}
     rejected: set[ContractId] = set()
     cursor = dict.fromkeys(inst.agents, 0)  # first not-yet-rejected contract
@@ -152,9 +149,9 @@ def cumulative_offer(inst: Instance, policy: str = POLICY_LEX, seed: int = 0) ->
         branch = index[cid].branch
         pools = dict(pools)
         pools[branch] = pool = pools[branch] | {cid}
+        old = choices[branch].chosen if branch in choices else frozenset()
         choices[branch] = result = branch_choice(inst, branch, pool)
-        old, new = current[branch], result.chosen
-        current[branch] = new
+        new = result.chosen
         # only the proposer and the agents in this branch's chosen diff change
         touched = {agent}
         for c in old - new:
@@ -177,7 +174,7 @@ def cumulative_offer(inst: Instance, policy: str = POLICY_LEX, seed: int = 0) ->
         verdict = "held" if cid in new else "rejected"
         steps.append(ComStep(len(steps) + 1, agent, cid, verdict, pools))
 
-    outcome = frozenset().union(*current.values())
+    outcome = frozenset().union(*(result.chosen for result in choices.values()))
     return ComTrace(tuple(steps), outcome, choices)
 
 

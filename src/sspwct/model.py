@@ -109,11 +109,23 @@ class BranchConfig:
         shad = tuple(self.shadow_slot(k) for k in range(1, self.n + 1))
         return orig + shad
 
+    def _priority_field(self, slot: SlotId) -> str:
+        if slot.branch != self.id or slot.kind not in (ORIGINAL, SHADOW) or not 1 <= slot.index <= self.n:
+            raise KeyError(f"branch {self.id} has no seat {slot!r}")
+        return "original_priorities" if slot.kind == ORIGINAL else "shadow_priorities"
+
     def priority(self, slot: SlotId) -> tuple[ContractId, ...]:
-        if slot.branch != self.id:
-            raise KeyError(f"slot {slot} does not belong to branch {self.id}")
-        rows = self.original_priorities if slot.kind == ORIGINAL else self.shadow_priorities
-        return rows[slot.index - 1]
+        """``slot``'s ranking; a seat the branch lacks (a foreign branch, an
+        unknown kind, an index outside 1..n) raises KeyError."""
+        return getattr(self, self._priority_field(slot))[slot.index - 1]
+
+    def with_ranking(self, slot: SlotId, ranking: Iterable[ContractId]) -> "BranchConfig":
+        """A copy in which ``slot`` ranks ``ranking``; rejects a seat as
+        :meth:`priority` does."""
+        field = self._priority_field(slot)
+        rows = list(getattr(self, field))
+        rows[slot.index - 1] = tuple(ranking)
+        return replace(self, **{field: tuple(rows)})
 
     # Derived once per config, on first use (never in __init__, so building
     # instances stays cheap).  They live outside the dataclass fields:
@@ -437,6 +449,8 @@ def parse_instance(text: str | bytes) -> Instance:
     for i, rb in enumerate(raw_branches):
         where = f"branches[{i}]"
         bid = _require(rb, "id", where)
+        if not isinstance(bid, str):
+            raise ParseError(f"{where}.id: expected a string")
         n = _require(rb, "n", where)
         if not isinstance(n, int) or isinstance(n, bool):
             raise ParseError(f"{where}.n: expected an integer")

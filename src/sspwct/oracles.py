@@ -31,7 +31,7 @@ from .mechanism import (
     holdings,
     stability_report,
 )
-from .model import ORIGINAL, AgentId, BranchConfig, BranchId, Contract, ContractId, InputError, Instance
+from .model import AgentId, BranchConfig, BranchId, Contract, ContractId, InputError, Instance
 
 ChoiceRule = Callable[[BranchConfig, Iterable[ContractId], Mapping[ContractId, Contract]], ChoiceResult]
 
@@ -209,7 +209,7 @@ def slot_specific_reference(
     only, in precedence order, each taking its best remaining contract and
     knocking out the chosen agent's other contracts.  Kept deliberately
     separate from the main implementation so the all-zero-transfer reduction
-    has a second opinion.  Only ``chosen`` is recorded (``per_slot`` is
+    has a second opinion.  Only ``chosen`` is recorded (``seats`` is
     empty)."""
     offer_set = frozenset(offers)
     chosen: list[ContractId] = []
@@ -256,14 +256,15 @@ def misreports(universe: Sequence[ContractId]) -> Iterator[tuple[ContractId, ...
             yield from permutations(combo)
 
 
-def check_strategy_proofness(inst: Instance, limit: int = MISREPORT_BOUND) -> PropertyVerdict:
+def check_strategy_proofness(inst: Instance) -> PropertyVerdict:
     """No agent can obtain a strictly better contract (by her true ranking)
-    by reporting any alternative ranking of any subset of her contracts."""
+    by reporting any alternative ranking of any subset of her contracts;
+    refuses an agent with more than :data:`MISREPORT_BOUND` contracts."""
     for agent, owned in inst.contracts_of_agent.items():
-        if len(owned) > limit:
+        if len(owned) > MISREPORT_BOUND:
             raise InstanceTooLarge(
                 f"agent {agent} has {len(owned)} contracts; misreport enumeration is "
-                f"exhaustive and capped at {limit}"
+                f"exhaustive and capped at {MISREPORT_BOUND}"
             )
     truthful = holdings(inst, cumulative_offer(inst).outcome)
     deviations = (
@@ -367,10 +368,7 @@ def generate_improvement(
             ranking.insert(rng.randrange(0, pos), cid)
         else:
             ranking.insert(rng.randint(0, len(ranking)), cid)
-        field = "original_priorities" if slot.kind == ORIGINAL else "shadow_priorities"
-        rows = list(getattr(cfg, field))
-        rows[slot.index - 1] = tuple(ranking)
-        current = current.with_branch(replace(cfg, **{field: tuple(rows)}))
+        current = current.with_branch(cfg.with_ranking(slot, ranking))
     return current
 
 
@@ -530,5 +528,5 @@ def run_suite(
     merged = []
     for i, suite in enumerate(suites):
         verdicts = [v for batch in batches for v in batch[i]]
-        merged.append(merge_verdicts(verdicts[0].name if verdicts else _SUITES[suite][0], verdicts))
+        merged.append(merge_verdicts(_SUITES[suite][0], verdicts))
     return merged

@@ -6,17 +6,19 @@ dict bookkeeping, a cumulative offer process that rescans every agent each
 round and copies every branch's pool into every step, a blocking search
 that rescans the outcome for every agent of every candidate set, and the
 seat ledger and holder lookups that chose again from the final pools and
-scanned the outcome per agent.  They are slow on purpose and must not be
-imported by ``sspwct`` itself.
+scanned the outcome per agent.  The reference choice rule decides seat
+activity on its own and returns its own :class:`Choice` record, built
+without the library's.  They are slow on purpose and must not be imported
+by ``sspwct`` itself.
 """
 from __future__ import annotations
 
 import random
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from sspwct import mechanism
-from sspwct.choice import ChoiceResult, ForeignContract, SlotFill, sspwct_choose
+from sspwct.choice import ForeignContract
 from sspwct.mechanism import POLICY_LEX, POLICY_RANDOM, ComStep, ComTrace
 from sspwct.model import (
     ORIGINAL,
@@ -48,12 +50,20 @@ def slot_order(cfg: BranchConfig) -> tuple[SlotId, ...]:
     return tuple(order)
 
 
+class Choice(NamedTuple):
+    """A branch's choice and its seat ledger, occupied seat -> contract in
+    processing order."""
+
+    chosen: frozenset
+    seats: dict[SlotId, ContractId]
+
+
 def choose(
     cfg: BranchConfig,
     offers: Iterable[ContractId],
     contracts: Mapping[ContractId, Contract],
     completion: bool,
-) -> ChoiceResult:
+) -> Choice:
     offer_set = frozenset(offers)
     for cid in offer_set:
         c = contracts.get(cid)
@@ -62,7 +72,7 @@ def choose(
         if c.branch != cfg.id:
             raise ForeignContract(f"contract {cid} belongs to branch {c.branch}, not {cfg.id}")
 
-    per_slot: dict[SlotId, SlotFill] = {}
+    seats: dict[SlotId, ContractId] = {}
     filled: dict[SlotId, int] = {}
     chosen: list[ContractId] = []
     taken_ids: set[ContractId] = set()
@@ -88,16 +98,16 @@ def choose(
                 break
         if slot.kind == ORIGINAL:
             filled[slot] = 1 if pick is not None else 0
-        per_slot[slot] = SlotFill(pick, active)
         if pick is not None:
+            seats[slot] = pick
             chosen.append(pick)
             taken_ids.add(pick)
             taken_agents.add(contracts[pick].agent)
 
-    return ChoiceResult(frozenset(chosen), per_slot)
+    return Choice(frozenset(chosen), seats)
 
 
-def branch_choice(inst: Instance, branch: BranchId, pool: Iterable[ContractId]) -> ChoiceResult:
+def branch_choice(inst: Instance, branch: BranchId, pool: Iterable[ContractId]) -> Choice:
     return choose(inst.branches[branch], pool, inst.contract_index, completion=False)
 
 
@@ -109,7 +119,7 @@ def cumulative_offer(inst: Instance, policy: str = POLICY_LEX, seed: int = 0) ->
 
     pools: dict[BranchId, set[ContractId]] = {b: set() for b in inst.branches}
     current: dict[BranchId, frozenset] = {b: frozenset() for b in inst.branches}
-    choices: dict[BranchId, ChoiceResult] = {b: ChoiceResult(frozenset(), {}) for b in inst.branches}
+    choices: dict[BranchId, Choice] = {b: Choice(frozenset(), {}) for b in inst.branches}
     rejected: set[ContractId] = set()
     steps: list[ComStep] = []
 
@@ -220,10 +230,7 @@ def slot_assignments(inst: Instance, pools: Mapping[BranchId, frozenset]) -> dic
     final accumulated pool."""
     placed: dict[SlotId, ContractId] = {}
     for b, pool in pools.items():
-        result = sspwct_choose(inst.branches[b], pool, inst.contract_index)
-        for slot, fill in result.per_slot.items():
-            if fill.contract is not None:
-                placed[slot] = fill.contract
+        placed.update(branch_choice(inst, b, pool).seats)
     return placed
 
 

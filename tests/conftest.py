@@ -1,4 +1,4 @@
-from sspwct.model import BranchConfig, Contract, Instance
+from sspwct.model import BranchConfig, Contract, Instance, SlotId
 
 
 def make_instance(contracts, prefs, branches) -> Instance:
@@ -18,3 +18,20 @@ def branch(bid="b", n=1, location=None, transfer=None, original=None, shadow=Non
     original = tuple(tuple(r) for r in original) if original is not None else ((),) * n
     shadow = tuple(tuple(r) for r in shadow) if shadow is not None else ((),) * n
     return BranchConfig(bid, n, location, transfer, original, shadow)
+
+
+#: Seats a 2-seat branch ``b`` lacks: a foreign branch, an unknown kind, and
+#: indices outside 1..2.
+MISSING_SEATS = [
+    SlotId("z", "original", 1),
+    SlotId("b", "bogus", 1),
+    SlotId("b", "original", 0),
+    SlotId("b", "original", -1),
+    SlotId("b", "original", 3),
+    SlotId("b", "shadow", 0),
+    SlotId("b", "shadow", 3),
+]
+
+
+def seat_id(slot: SlotId) -> str:
+    return f"{slot.branch}-{slot.kind}-{slot.index}"

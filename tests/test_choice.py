@@ -48,30 +48,28 @@ class TestSspwctChoose:
         inst = gate_instance(1)
         result = sspwct_choose(inst.branches["b"], set(), inst.contract_index)
         assert result.chosen == frozenset()
-        assert all(fill.contract is None for fill in result.per_slot.values())
+        assert result.seats == {}
 
     def test_vacancy_transfers_when_bit_set(self):
         inst = gate_instance(1)
         cfg = inst.branches["b"]
         result = sspwct_choose(cfg, {"y"}, inst.contract_index)
         assert result.chosen == frozenset({"y"})
-        assert result.per_slot[cfg.original_slot(1)].contract is None
-        assert result.per_slot[cfg.shadow_slot(1)].contract == "y"
-        assert result.per_slot[cfg.shadow_slot(1)].active
+        assert result.seats == {cfg.shadow_slot(1): "y"}
 
     def test_transfer_bit_zero_blocks_activation(self):
         inst = gate_instance(0)
         cfg = inst.branches["b"]
         result = sspwct_choose(cfg, {"y"}, inst.contract_index)
         assert result.chosen == frozenset()
-        assert not result.per_slot[cfg.shadow_slot(1)].active
+        assert result.seats == {}  # e1 ranks the offered y, so it was inactive
 
     def test_filled_original_deactivates_shadow(self):
         inst = gate_instance(1)
         cfg = inst.branches["b"]
         result = sspwct_choose(cfg, {"x", "y"}, inst.contract_index)
         assert result.chosen == frozenset({"x"})
-        assert not result.per_slot[cfg.shadow_slot(1)].active
+        assert result.seats == {cfg.original_slot(1): "x"}  # e1 ranks y second, so it was inactive
 
     def test_active_but_unfilled_shadow_is_distinct_from_inactive(self):
         inst = make_instance(
@@ -81,8 +79,11 @@ class TestSspwctChoose:
         )
         cfg = inst.branches["b"]
         result = sspwct_choose(cfg, {"x"}, inst.contract_index)
-        fill = result.per_slot[cfg.shadow_slot(1)]
-        assert fill.active and fill.contract is None
+        # e1 is active (o1 is not in the ledger and bit 1 is set), yet empty:
+        # once it ranks x, it takes x
+        assert result.seats == {} and cfg.transfer == (1,)
+        ranked = cfg.with_ranking(cfg.shadow_slot(1), ("x",))
+        assert sspwct_choose(ranked, {"x"}, inst.contract_index).seats == {cfg.shadow_slot(1): "x"}
 
     def test_foreign_contract_rejected(self):
         inst = make_instance(
@@ -205,13 +206,14 @@ def test_choice_invariants(market):
     assert len(result.chosen) <= cfg.n  # physical capacity
     agents = [inst.contract_index[c].agent for c in result.chosen]
     assert len(set(agents)) == len(agents)  # feasibility: one per agent
+    seats = result.seats
     for k in range(1, cfg.n + 1):
-        fill = result.per_slot[cfg.shadow_slot(k)]
-        if fill.contract is not None:
-            assert result.per_slot[cfg.original_slot(k)].contract is None
+        if cfg.shadow_slot(k) in seats:
+            assert cfg.original_slot(k) not in seats
             assert cfg.transfer[k - 1] == 1
-        vacant = result.per_slot[cfg.original_slot(k)].contract is None
-        assert fill.active == (vacant and cfg.transfer[k - 1] == 1)
+    # the ledger holds exactly the chosen contracts, in processing order
+    assert sorted(seats.values()) == sorted(result.chosen)
+    assert list(seats) == [slot for slot in cfg.slot_order if slot in seats]
 
 
 @settings(max_examples=200, deadline=None)

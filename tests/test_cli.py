@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sspwct
 from sspwct import cli, comparative, mechanism
 from sspwct.cli import main
 from sspwct.model import parse_instance, serialize_instance, validate_instance
@@ -49,6 +54,13 @@ class TestGen:
         assert err.startswith("invalid generator config: " + field)
         code, out, err = run_cli(capsys, "gen", *flags)
         assert code == 2 and out == "" and field in err
+
+    @pytest.mark.parametrize("target", ["missing/m.json", "."])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, target):
+        out_path = tmp_path / target  # a missing directory, then a directory
+        code, out, err = run_cli(capsys, "gen", "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"cannot write {out_path}: ")
 
 
 class TestRun:
@@ -355,3 +367,26 @@ def test_theorem_3_branch_without_slot_flips_that_branch(tmp_path, capsys):
     code, out, err = run_cli(capsys, "experiment", str(path), "--theorem", "3", "--branch", "b03")
     assert (code, out) == (2, "")
     assert err == "every transfer bit of branch b03 is already 1; nothing to relax\n"
+
+
+def test_python_dash_m_entry_point(tmp_path):
+    # ``python -m sspwct`` runs the CLI and passes its exit code on
+    src = str(Path(sspwct.__file__).resolve().parents[1])
+
+    def sspwct_main(*argv):
+        done = subprocess.run(
+            [sys.executable, "-m", "sspwct", *argv],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+        )
+        return done.returncode, done.stdout, done.stderr
+
+    inst_path, outcome_path = tmp_path / "inst.json", tmp_path / "outcome.json"
+    assert sspwct_main("gen", "--seed", "21", "--out", str(inst_path))[0] == 0
+    code, out, _ = sspwct_main("run", str(inst_path))
+    assert code == 0 and json.loads(out)["outcome"]
+    outcome_path.write_text(out)
+    assert sspwct_main("verify", str(inst_path), str(outcome_path))[0] == 0
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text("{")
+    code, out, err = sspwct_main("run", str(bad_path))
+    assert (code, out) == (2, "") and err.startswith("invalid JSON: ")

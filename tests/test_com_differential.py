@@ -75,7 +75,7 @@ def test_choice_rules_match_reference(rule, completion):
                     got = rule(branch, offers, inst.contract_index)
                     want = ref.choose(branch, offers, inst.contract_index, completion)
                     assert got.chosen == want.chosen
-                    assert list(got.per_slot.items()) == list(want.per_slot.items())
+                    assert list(got.seats.items()) == list(want.seats.items())
                     calls += 1
     assert calls > 500
 

@@ -26,7 +26,7 @@ from sspwct.generator import GeneratorConfig, generate_instance
 from sspwct.mechanism import cumulative_offer
 from sspwct.model import Contract, SlotId, validate_instance
 
-from conftest import branch, make_instance
+from conftest import MISSING_SEATS, branch, make_instance, seat_id
 
 
 def first_zero_bit(inst):
@@ -340,6 +340,13 @@ class TestAddContracts:
                 [AddedContract(Contract("nw", "B", "b", "t"), 0, {SlotId("z", "original", 1): 0})],
                 MODE_BOTTOM,
             )
+
+    @pytest.mark.parametrize("slot", MISSING_SEATS, ids=seat_id)
+    def test_a_seat_the_branch_lacks_is_rejected(self, slot):
+        added = AddedContract(Contract("nw", "B", "b", "t"), 0, {slot: 0})
+        with pytest.raises(ConditionViolation) as exc:
+            apply_additions(self.base_instance(), [added], MODE_SINGLE_AGENT)
+        assert str(exc.value) == f"contract nw cannot be listed: branch b has no seat {slot!r}"
 
     def test_owner_never_worse_in_single_agent_mode_randomized(self):
         rng = random.Random(5)

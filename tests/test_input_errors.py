@@ -1,6 +1,8 @@
 """The one input-error boundary: ``cli.main`` exits 2 on exactly
 ``model.InputError``, and the library raises it with the text the CLI prints.
 Internal faults stay outside that type, so they still end in a traceback."""
+import json
+
 import pytest
 
 from sspwct import cli, comparative, generator, mechanism, oracles
@@ -134,3 +136,18 @@ def test_library_raises_the_text_the_cli_prints(tmp_path, capsys, call, message,
         code = main([arg.format(path=path) for arg in argv])
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (2, "", message + "\n")
+
+
+@pytest.mark.parametrize("ids, where", [
+    ((1, "b02"), "branches[0]"),  # ids that cannot be sorted together
+    (("b", ["x"]), "branches[1]"),  # an id that cannot be hashed
+    ((7,), "branches[0]"),
+])
+def test_non_string_branch_id_exits_2(tmp_path, capsys, ids, where):
+    doc = json.loads(serialize_instance(MARKET))
+    doc["branches"] = [{**doc["branches"][0], "id": bid} for bid in ids]
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    code = main(["run", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"{where}.id: expected a string\n")

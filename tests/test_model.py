@@ -14,7 +14,7 @@ from sspwct.model import (
 )
 from sspwct.generator import GeneratorConfig, generate_instance
 
-from conftest import branch, make_instance
+from conftest import MISSING_SEATS, branch, make_instance, seat_id
 
 
 def test_location_lower_bound_violation():
@@ -184,3 +184,43 @@ def test_equality_and_hash_ignore_the_cached_seat_plan():
     assert planned == fresh
     assert hash(planned) == hash(fresh)
     assert dataclasses.replace(planned, transfer=(0, 0)) != fresh
+
+
+def _doc_with_branch_ids(*ids):
+    return json.dumps({
+        "contracts": [],
+        "preferences": {},
+        "branches": [
+            {"id": bid, "n": 1, "location": [1], "transfer": [0],
+             "original_priorities": [[]], "shadow_priorities": [[]]}
+            for bid in ids
+        ],
+    })
+
+
+@pytest.mark.parametrize("ids, where", [
+    ((1, "b02"), "branches[0]"),
+    (("b01", ["x"]), "branches[1]"),
+    ((7,), "branches[0]"),
+])
+def test_parse_rejects_a_branch_id_that_is_not_a_string(ids, where):
+    with pytest.raises(ParseError, match=rf"^{re.escape(where)}\.id: expected a string$"):
+        parse_instance(_doc_with_branch_ids(*ids))
+
+
+@pytest.mark.parametrize("slot", MISSING_SEATS, ids=seat_id)
+def test_priority_and_with_ranking_reject_a_seat_the_branch_lacks(slot):
+    cfg = branch(n=2, original=[("x",), ("y",)], shadow=[("y",), ("x",)])
+    for call in (lambda: cfg.priority(slot), lambda: cfg.with_ranking(slot, ("x",))):
+        with pytest.raises(KeyError) as exc:
+            call()
+        assert exc.value.args == (f"branch b has no seat {slot!r}",)
+
+
+def test_with_ranking_edits_only_its_seat():
+    cfg = branch(n=2, original=[("x",), ("y",)], shadow=[("y",), ("x",)])
+    for slot in cfg.slots():
+        edited = cfg.with_ranking(slot, ["z"])
+        assert [edited.priority(s) for s in cfg.slots()] == [
+            ("z",) if s == slot else cfg.priority(s) for s in cfg.slots()
+        ]

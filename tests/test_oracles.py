@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sspwct.choice import ChoiceResult, SlotFill, completion_choose, sspwct_choose
+from sspwct.choice import ChoiceResult, completion_choose, sspwct_choose
 from sspwct.generator import GeneratorConfig, generate_instance
 from sspwct import oracles
 from sspwct.mechanism import ComTrace, InstanceTooLarge, cumulative_offer
@@ -40,7 +40,6 @@ def no_guard_completion(cfg, offers, contracts):
     """Corruption: a shadow seat takes capacity whenever its transfer bit is
     set, ignoring whether the paired original seat filled."""
     offer_set = frozenset(offers)
-    per_slot = {}
     chosen = []
     taken = set()
     for slot in cfg.slot_order:
@@ -50,11 +49,10 @@ def no_guard_completion(cfg, offers, contracts):
             pick = next(
                 (c for c in cfg.priority(slot) if c in offer_set and c not in taken), None
             )
-        per_slot[slot] = SlotFill(pick, active)
         if pick:
             chosen.append(pick)
             taken.add(pick)
-    return ChoiceResult(frozenset(chosen), per_slot)
+    return ChoiceResult(frozenset(chosen))
 
 
 def parity_flipping_rule(cfg, offers, contracts):
@@ -512,4 +510,6 @@ class TestSuiteRunner:
         instances = [generate_instance(GeneratorConfig(seed=s, agents=3, branches=2)) for s in range(2)]
         verdicts = run_suite(instances, ["all"], trials=2, seed=1)
         assert all(calls[name] > 0 for name in names), calls
-        assert sorted(v.name for v in verdicts) == names
+        # every stub verdict is merged, under its suite's property name
+        assert sum(v.instances_checked for v in verdicts) == sum(calls.values())
+        assert [v.name for v in verdicts] == [name for name, _ in oracles._SUITES.values()]
