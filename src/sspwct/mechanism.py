@@ -19,12 +19,13 @@ only the touched agents update.  ``lex`` takes its first element and
 ``random`` draws ``rng.choice`` from it; the old per-round scan listed the
 same agents in the same order, so both policies pick the same proposer and
 traces are unchanged (by Hirata & Kasuya's order independence, the outcome
-would not depend on that order anyway).  Each step's ``pools`` is a new
-dict that shares the previous step's frozensets except for the branch
-proposed to, so a trace holds one new pool per step instead of a copy of
-every pool.  Per branch, COM keeps only its latest choice, whose chosen
-set is the old side of the next diff; the final choices' union is the
-outcome, and their merged ledgers are the trace's seat ledger.
+would not depend on that order anyway).  COM keeps one pool per branch
+and logs each step as one move (proposer, contract, branch, held); a
+step's pools are the contracts proposed to each branch so far, so the
+trace rebuilds them from the log only when they are read.  Per branch, COM
+keeps only its latest choice, whose chosen set is the old side of the next
+diff; the final choices' union is the outcome, and their merged ledgers
+are the trace's seat ledger.
 
 Stability is verified by brute force on one path, :func:`stability_report`:
 feasibility, individual rationality and an exhaustive search over candidate
@@ -37,7 +38,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .choice import ChoiceResult, sspwct_choose
 from .model import AgentId, BranchId, ContractId, InputError, Instance, Outcome, SlotId, outcome_violations
@@ -63,14 +64,38 @@ class ComStep:
     pools: Mapping[BranchId, frozenset]
 
 
+#: One COM step as the trace logs it: (proposer, contract, branch, held).
+Move = tuple[AgentId, ContractId, BranchId, bool]
+
+
 @dataclass(frozen=True)
 class ComTrace:
-    """One COM run: its steps, its outcome and ``choices``, each branch's
-    choice from its final pool (a branch nobody proposed to has none)."""
+    """One COM run: its ``moves``, its outcome and ``choices``, each
+    branch's choice from its final pool (a branch nobody proposed to has
+    none).  ``branches`` lists every branch of the market, in order."""
 
-    steps: tuple[ComStep, ...]
+    moves: tuple[Move, ...]
     outcome: Outcome
     choices: Mapping[BranchId, ChoiceResult]
+    branches: tuple[BranchId, ...]
+
+    def _replay(self, empty, add) -> Iterator[tuple[int, AgentId, ContractId, str, dict]]:
+        """Each step's t, agent, contract, verdict and pools, every branch's
+        pool grown from ``empty`` by ``add(pool, contract)``.  Only the pool
+        of the branch proposed to is a new object; the rest are the previous
+        step's."""
+        pools = dict.fromkeys(self.branches, empty)
+        for t, (agent, cid, branch, held) in enumerate(self.moves, 1):
+            pools = dict(pools)
+            pools[branch] = add(pools[branch], cid)
+            yield t, agent, cid, "held" if held else "rejected", pools
+
+    @cached_property
+    def steps(self) -> tuple[ComStep, ...]:
+        """The steps, built from the moves when first read: step t's
+        ``pools`` map every branch to the contracts proposed to it in steps
+        1..t."""
+        return tuple(ComStep(*step) for step in self._replay(frozenset(), lambda pool, cid: pool | {cid}))
 
     @cached_property
     def seats(self) -> dict[SlotId, ContractId]:
@@ -80,20 +105,12 @@ class ComTrace:
         return {slot: cid for result in self.choices.values() for slot, cid in result.seats.items()}
 
     def to_json(self) -> dict:
-        """Steps share their unchanged pools, so each distinct pool is sorted
-        once per call (memoized by object identity while the trace is alive;
-        the sorted lists are shared between steps)."""
-        sorted_pools: dict[int, list] = {}
-        steps = []
-        for s in self.steps:
-            pools = {}
-            for b, pool in s.pools.items():
-                if id(pool) not in sorted_pools:
-                    sorted_pools[id(pool)] = sorted(pool)
-                pools[b] = sorted_pools[id(pool)]
-            steps.append({
-                "t": s.t, "agent": s.agent, "contract": s.contract, "verdict": s.verdict, "pools": pools,
-            })
+        """The steps with their pools as sorted lists, replayed from the
+        moves, so steps share the lists of the pools they did not grow."""
+        steps = [
+            {"t": t, "agent": agent, "contract": cid, "verdict": verdict, "pools": pools}
+            for t, agent, cid, verdict, pools in self._replay([], lambda pool, cid: sorted([*pool, cid]))
+        ]
         return {"steps": steps, "outcome": sorted(self.outcome)}
 
 
@@ -127,12 +144,12 @@ def cumulative_offer(inst: Instance, policy: str = POLICY_LEX, seed: int = 0) ->
     index = inst.contract_index
     preferences = inst.preferences
 
-    pools: dict[BranchId, frozenset] = {b: frozenset() for b in inst.branches}
+    pools: dict[BranchId, set[ContractId]] = {}
     choices: dict[BranchId, ChoiceResult] = {}
     rejected: set[ContractId] = set()
     cursor = dict.fromkeys(inst.agents, 0)  # first not-yet-rejected contract
     held = dict.fromkeys(inst.agents, 0)  # contracts in the chosen sets
-    steps: list[ComStep] = []
+    moves: list[Move] = []
 
     def can_propose(agent: AgentId) -> bool:
         ranking = preferences.get(agent, ())
@@ -147,8 +164,8 @@ def cumulative_offer(inst: Instance, policy: str = POLICY_LEX, seed: int = 0) ->
         agent = eligible[0] if policy == POLICY_LEX else rng.choice(eligible)
         cid = preferences[agent][cursor[agent]]
         branch = index[cid].branch
-        pools = dict(pools)
-        pools[branch] = pool = pools[branch] | {cid}
+        pool = pools.setdefault(branch, set())
+        pool.add(cid)
         old = choices[branch].chosen if branch in choices else frozenset()
         choices[branch] = result = branch_choice(inst, branch, pool)
         new = result.chosen
@@ -171,11 +188,10 @@ def cumulative_offer(inst: Instance, policy: str = POLICY_LEX, seed: int = 0) ->
                     del eligible[i]
                 else:
                     eligible.insert(i, a)
-        verdict = "held" if cid in new else "rejected"
-        steps.append(ComStep(len(steps) + 1, agent, cid, verdict, pools))
+        moves.append((agent, cid, branch, cid in new))
 
     outcome = frozenset().union(*(result.chosen for result in choices.values()))
-    return ComTrace(tuple(steps), outcome, choices)
+    return ComTrace(tuple(moves), outcome, choices, tuple(inst.branches))
 
 
 def holdings(inst: Instance, outcome: Outcome) -> dict[AgentId, ContractId]:

@@ -16,7 +16,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 ContractId = str
 AgentId = str
@@ -406,14 +406,36 @@ def _int_list(value: Any, where: str) -> tuple[int, ...]:
     return tuple(value)
 
 
+def _sharing_strings() -> Callable[[list[tuple[str, Any]]], dict]:
+    """A ``json.loads`` object hook for one document: each object's keys,
+    its string values and the strings in its arrays (of arrays) are replaced
+    by the first equal string the document produced, so every id exists
+    once.  Only ``str`` objects are looked up, so no value changes type."""
+    memo: dict[str, str] = {}
+    share = memo.setdefault
+
+    def shared(value: Any) -> Any:
+        if type(value) is str:
+            return share(value, value)
+        if type(value) is list:
+            value[:] = [share(x, x) if type(x) is str else shared(x) for x in value]
+        return value
+
+    return lambda pairs: {share(key, key): shared(value) for key, value in pairs}
+
+
 def parse_instance(text: str | bytes) -> Instance:
     """Parse the canonical JSON instance format.
 
     Structural problems, unknown fields included, raise :class:`ParseError`
     naming the field; semantic invariants are left to :func:`validate_instance`.
+    Equal id strings are one object in the returned instance.
     """
     try:
-        doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+        doc = json.loads(
+            text.decode("utf-8") if isinstance(text, bytes) else text,
+            object_pairs_hook=_sharing_strings(),
+        )
     except ValueError as exc:  # undecodable bytes as well as malformed JSON
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -8,8 +8,9 @@ that rescans the outcome for every agent of every candidate set, and the
 seat ledger and holder lookups that chose again from the final pools and
 scanned the outcome per agent.  The reference choice rule decides seat
 activity on its own and returns its own :class:`Choice` record, built
-without the library's.  They are slow on purpose and must not be imported
-by ``sspwct`` itself.
+without the library's; the reference COM records its own :class:`Step`
+per step, with a frozen copy of every pool, and its own :class:`Trace`.
+They are slow on purpose and must not be imported by ``sspwct`` itself.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from sspwct import mechanism
 from sspwct.choice import ForeignContract
-from sspwct.mechanism import POLICY_LEX, POLICY_RANDOM, ComStep, ComTrace
+from sspwct.mechanism import POLICY_LEX, POLICY_RANDOM
 from sspwct.model import (
     ORIGINAL,
     AgentId,
@@ -107,11 +108,27 @@ def choose(
     return Choice(frozenset(chosen), seats)
 
 
+class Step(NamedTuple):
+    """One COM step with every branch's pool after it."""
+
+    t: int
+    agent: AgentId
+    contract: ContractId
+    verdict: str  # "held" or "rejected"
+    pools: dict[BranchId, frozenset]
+
+
+class Trace(NamedTuple):
+    steps: tuple[Step, ...]
+    outcome: Outcome
+    choices: dict[BranchId, Choice]
+
+
 def branch_choice(inst: Instance, branch: BranchId, pool: Iterable[ContractId]) -> Choice:
     return choose(inst.branches[branch], pool, inst.contract_index, completion=False)
 
 
-def cumulative_offer(inst: Instance, policy: str = POLICY_LEX, seed: int = 0) -> ComTrace:
+def cumulative_offer(inst: Instance, policy: str = POLICY_LEX, seed: int = 0) -> Trace:
     """Run the cumulative offer process and return the full trace."""
     if policy not in (POLICY_LEX, POLICY_RANDOM):
         raise ValueError(f"unknown proposal policy {policy!r}")
@@ -121,7 +138,7 @@ def cumulative_offer(inst: Instance, policy: str = POLICY_LEX, seed: int = 0) ->
     current: dict[BranchId, frozenset] = {b: frozenset() for b in inst.branches}
     choices: dict[BranchId, Choice] = {b: Choice(frozenset(), {}) for b in inst.branches}
     rejected: set[ContractId] = set()
-    steps: list[ComStep] = []
+    steps: list[Step] = []
 
     t = 0
     while True:
@@ -151,14 +168,14 @@ def cumulative_offer(inst: Instance, policy: str = POLICY_LEX, seed: int = 0) ->
         rejected |= pools[branch] - result.chosen
         verdict = "held" if cid in result.chosen else "rejected"
         steps.append(
-            ComStep(t, agent, cid, verdict, {b: frozenset(p) for b, p in pools.items()})
+            Step(t, agent, cid, verdict, {b: frozenset(p) for b, p in pools.items()})
         )
 
     outcome = frozenset().union(*current.values()) if current else frozenset()
-    return ComTrace(tuple(steps), outcome, choices)
+    return Trace(tuple(steps), outcome, choices)
 
 
-def trace_to_json(trace: ComTrace) -> dict:
+def trace_to_json(trace: Trace) -> dict:
     """The trace's JSON view, sorting every step's pools afresh."""
     return {
         "steps": [

@@ -3,7 +3,9 @@ planned choice rules, the filtered blocking search, and the seat ledger and
 holder map read off a COM run, against the straightforward implementations
 they replaced (kept in ``com_reference``).  Traces must match exactly, step
 by step and pool by pool, for the deterministic and the seeded random
-policy; the reference side is serialized without the shared-pool memo."""
+policy: the steps the library rebuilds from its move log against the
+reference's recorded steps, and the JSON the library replays from the log
+against the reference's steps with every pool sorted afresh."""
 import random
 
 import pytest
@@ -29,6 +31,9 @@ def test_traces_match_reference(batch):
         for policy, seed in POLICIES:
             got = cumulative_offer(inst, policy=policy, seed=seed)
             want = ref.cumulative_offer(inst, policy=policy, seed=seed)
+            assert [tuple(s) for s in want.steps] == [
+                (s.t, s.agent, s.contract, s.verdict, s.pools) for s in got.steps
+            ], (cfg.seed + i, policy, seed)
             assert got.to_json() == ref.trace_to_json(want), (cfg.seed + i, policy, seed)
             steps += len(got.steps)
     assert steps > count  # the batch is not trivially empty

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import pytest
 
+from sspwct import mechanism
 from sspwct.mechanism import (
+    ComStep,
     InstanceTooLarge,
     branch_choice,
     cumulative_offer,
@@ -100,15 +104,24 @@ class TestCumulativeOffer:
             inst = generate_instance(GeneratorConfig(seed=seed))
             replay_trace(inst, cumulative_offer(inst))
 
-    def test_steps_share_unchanged_pools(self):
-        # each step adds one pool object (the branch proposed to) and reuses
-        # the rest, so the trace's memory grows with the steps, not with
-        # steps x branches
-        for seed in range(10):
-            inst = generate_instance(GeneratorConfig(seed=seed, agents=12, branches=4))
-            trace = cumulative_offer(inst, policy="random", seed=seed)
-            distinct = {id(pool) for step in trace.steps for pool in step.pools.values()}
-            assert len(distinct) <= len(trace.steps) + len(inst.branches)
+    def test_trace_logs_moves_and_builds_steps_on_read(self, monkeypatch):
+        # COM keeps one pool per branch and a move log, so what a run
+        # retains does not grow with steps x pool size; steps (and their
+        # pools) are built only when read
+        inst = generate_instance(GeneratorConfig(seed=3400, agents=200, branches=10, capacity=(15, 15)))
+        cumulative_offer(inst)  # warm the instance's cached lookups
+        built = []
+        monkeypatch.setattr(mechanism, "ComStep", lambda *args: built.append(args) or ComStep(*args))
+        tracemalloc.start()
+        try:
+            trace = cumulative_offer(inst)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 1_000_000
+        assert built == []
+        assert len(trace.steps) == len(trace.moves) == len(built) > 500
+        assert trace.steps[-1].pools.keys() == inst.branches.keys()
 
 
 class TestIndividualRationality:

@@ -224,3 +224,63 @@ def test_with_ranking_edits_only_its_seat():
         assert [edited.priority(s) for s in cfg.slots()] == [
             ("z",) if s == slot else cfg.priority(s) for s in cfg.slots()
         ]
+
+
+def test_parse_keeps_one_string_per_id():
+    inst = parse_instance(serialize_instance(generate_instance(GeneratorConfig(seed=5))))
+    ids = {c.id: c.id for c in inst.contracts}
+    agents = {c.agent: c.agent for c in inst.contracts}
+    seen = 0
+    for agent, ranking in inst.preferences.items():
+        assert agent is agents.get(agent, agent)
+        for cid in ranking:
+            assert cid is ids[cid]
+            seen += 1
+    for cfg in inst.branches.values():
+        for row in cfg.original_priorities + cfg.shadow_priorities:
+            for cid in row:
+                assert cid is ids[cid]
+                seen += 1
+    assert seen > len(ids)
+
+
+def _one_branch_doc(**fields) -> str:
+    # every bad value sits in a document that also holds the integer 1, so a
+    # memo keyed by equal values would turn true into 1 (or 1 into true)
+    rb = {"id": "b", "n": 1, "location": [1], "transfer": [1],
+          "original_priorities": [["x"]], "shadow_priorities": [["x"]]}
+    doc = {"contracts": [{"id": "x", "agent": "A", "branch": "b", "terms": ""}],
+           "preferences": {"A": ["x"]}, "branches": [{**rb, **fields}]}
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("fields, message", [
+    pytest.param({"n": True}, "branches[0].n: expected an integer", id="n"),
+    pytest.param({"location": [True]}, "branches[0].location: expected an array of integers",
+                 id="location"),
+    pytest.param({"transfer": [True]}, "branches[0].transfer: expected an array of integers",
+                 id="transfer"),
+    pytest.param({"original_priorities": [["x", 1]]},
+                 "branches[0].original_priorities[0]: expected an array of strings", id="ranking"),
+    pytest.param({"shadow_priorities": [[True]]},
+                 "branches[0].shadow_priorities[0]: expected an array of strings", id="shadow-ranking"),
+])
+def test_parse_never_changes_a_value_type(fields, message):
+    with pytest.raises(ParseError, match=rf"^{re.escape(message)}$"):
+        parse_instance(_one_branch_doc(**fields))
+
+
+def test_parse_reports_a_number_in_a_preference_ranking():
+    text = _one_branch_doc().replace('"A": ["x"]', '"A": ["x", 1]')
+    with pytest.raises(ParseError, match=r"^preferences\[A\]: expected an array of strings$"):
+        parse_instance(text)
+
+
+def test_parse_duplicate_keys_resolve_last_wins():
+    text = _one_branch_doc().replace('"n": 1', '"n": 5, "n": 1').replace(
+        '"preferences": {"A": ["x"]}', '"preferences": {"A": ["y"], "A": ["x"]}')
+    assert '"n": 5' in text and '"A": ["y"]' in text
+    inst = parse_instance(text)
+    assert inst.branches["b"].n == 1
+    assert inst.preferences == {"A": ("x",)}
+    assert list(inst.branches["b"].original_priorities) == [("x",)]

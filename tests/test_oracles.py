@@ -403,7 +403,7 @@ class TestOrderIndependenceAndStability:
             [branch(n=2, location=(2, 2), original=[("x", "y"), ("x2",)])],
         )
         monkeypatch.setattr(
-            oracles, "cumulative_offer", lambda inst: ComTrace((), frozenset(outcome), {})
+            oracles, "cumulative_offer", lambda inst: ComTrace((), frozenset(outcome), {}, tuple(inst.branches))
         )
         verdict = check_stability(inst)
         assert not verdict.ok
