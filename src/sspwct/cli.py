@@ -51,6 +51,8 @@ def _load_outcome(path: str, inst: Instance) -> frozenset:
             doc = json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError: undecodable or malformed JSON
         raise InputError(f"cannot read outcome {path}: {exc}")
+    except RecursionError:
+        raise InputError(f"cannot read outcome {path}: arrays or objects nested too deeply")
     # accept both a bare outcome file and the run command's own output
     if not isinstance(doc, dict) or ("assignment" not in doc and "outcome" not in doc):
         raise InputError(

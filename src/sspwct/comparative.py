@@ -8,6 +8,7 @@ recorded but is not a violation.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
@@ -377,7 +378,8 @@ def random_added_contracts(
     count: int = 1,
     agent: AgentId | None = None,
 ) -> list[AddedContract]:
-    """Draw new contracts with valid placements for the requested mode;
+    """Draw new contracts with valid placements for the requested mode,
+    named ``new01``, ``new02``, ... skipping ids the market already has;
     raises :class:`~sspwct.model.InputError` on a market with no agent or no
     branch to draw from."""
     agents = list(inst.agents)
@@ -392,11 +394,12 @@ def random_added_contracts(
         b: {s: 0 for s in cfg.slots()} for b, cfg in inst.branches.items()
     }
     pref_growth: dict[AgentId, int] = {a: 0 for a in agents}
+    names = (f"new{i:02d}" for i in itertools.count(1))
+    new_ids = (cid for cid in names if cid not in inst.contract_index)
     for j in range(count):
         owner = agent if mode == MODE_SINGLE_AGENT else rng.choice(agents)
         branch = rng.choice(branches)
-        cid = f"new{j + 1:02d}"
-        contract = Contract(cid, owner, branch, terms=f"added-{j + 1}")
+        contract = Contract(next(new_ids), owner, branch, terms=f"added-{j + 1}")
         cfg = inst.branches[branch]
         slot_positions: dict[SlotId, int] = {}
         for slot in cfg.slots():

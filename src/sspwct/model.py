@@ -408,17 +408,18 @@ def _int_list(value: Any, where: str) -> tuple[int, ...]:
 
 def _sharing_strings() -> Callable[[list[tuple[str, Any]]], dict]:
     """A ``json.loads`` object hook for one document: each object's keys,
-    its string values and the strings in its arrays (of arrays) are replaced
-    by the first equal string the document produced, so every id exists
-    once.  Only ``str`` objects are looked up, so no value changes type."""
+    its string values and the strings in its arrays and arrays of arrays
+    (the format nests no deeper) are replaced by the first equal string the
+    document produced, so every id exists once.  Only ``str`` objects are
+    looked up, so no value changes type."""
     memo: dict[str, str] = {}
     share = memo.setdefault
 
-    def shared(value: Any) -> Any:
+    def shared(value: Any, depth: int = 2) -> Any:
         if type(value) is str:
             return share(value, value)
-        if type(value) is list:
-            value[:] = [share(x, x) if type(x) is str else shared(x) for x in value]
+        if type(value) is list and depth:
+            value[:] = [share(x, x) if type(x) is str else shared(x, depth - 1) for x in value]
         return value
 
     return lambda pairs: {share(key, key): shared(value) for key, value in pairs}
@@ -438,6 +439,8 @@ def parse_instance(text: str | bytes) -> Instance:
         )
     except ValueError as exc:  # undecodable bytes as well as malformed JSON
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: arrays or objects nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ParseError("top level: expected an object")
 

@@ -287,8 +287,17 @@ def check_strategy_proofness(inst: Instance) -> PropertyVerdict:
 # -- priority improvements --
 
 
-def _others_sequence(ranking: Sequence[ContractId], agent: AgentId, inst: Instance) -> list[ContractId]:
-    return [cid for cid in ranking if inst.contract_index[cid].agent != agent]
+def _split_ranking(ranking: Sequence[ContractId], agent: AgentId, inst: Instance) -> tuple[list, dict]:
+    """One pass over a seat's ranking: the other agents' contracts in order,
+    and for each of the agent's contracts how many of those rank above it."""
+    others: list[ContractId] = []
+    above: dict[ContractId, int] = {}
+    for cid in ranking:
+        if inst.contract_index[cid].agent == agent:
+            above.setdefault(cid, len(others))
+        else:
+            others.append(cid)
+    return others, above
 
 
 def is_priority_improvement(base: Instance, improved: Instance, agent: AgentId) -> bool:
@@ -302,74 +311,58 @@ def is_priority_improvement(base: Instance, improved: Instance, agent: AgentId) 
         if (cfg.n, cfg.location, cfg.transfer) != (new_cfg.n, new_cfg.location, new_cfg.transfer):
             return False
         for slot in cfg.slots():
-            old = cfg.priority(slot)
-            new = new_cfg.priority(slot)
-            if _others_sequence(old, agent, base) != _others_sequence(new, agent, base):
+            old_others, old_above = _split_ranking(cfg.priority(slot), agent, base)
+            new_others, new_above = _split_ranking(new_cfg.priority(slot), agent, base)
+            if old_others != new_others or any(
+                cid not in new_above or new_above[cid] > count for cid, count in old_above.items()
+            ):
                 return False
-            for pos, cid in enumerate(old):
-                if base.contract_index[cid].agent != agent:
-                    continue
-                if cid not in new:
-                    return False
-                others_above_old = sum(
-                    1 for c in old[:pos] if base.contract_index[c].agent != agent
-                )
-                others_above_new = sum(
-                    1
-                    for c in new[: new.index(cid)]
-                    if base.contract_index[c].agent != agent
-                )
-                if others_above_new > others_above_old:
-                    return False
     return True
 
 
-def generate_improvement(
-    inst: Instance, agent: AgentId, seed: int = 0, moves: int | None = None
-) -> Instance:
+def generate_improvement(inst: Instance, agent: AgentId, seed: int = 0) -> Instance:
     """Randomly promote the agent's contracts in slot priority orders.
 
     Applies between one and three single-contract promotions (each either
     moves a listed contract strictly up or inserts an unlisted one), which
-    composes to an arbitrary improvement.  Returns the instance unchanged
-    when the agent already tops every ranking it could appear in.
+    composes to an arbitrary improvement.  Returns ``inst`` itself when the
+    agent has no contract or already tops every ranking it could appear in.
     """
     rng = random.Random(seed)
-    if moves is None:
-        moves = rng.randint(1, 3)
-    current = inst
+    moves = rng.randint(1, 3)
+    mine: dict[BranchId, list[ContractId]] = {}
+    for cid in inst.contracts_of_agent.get(agent, ()):
+        mine.setdefault(inst.contract_index[cid].branch, []).append(cid)
+    rankings = {
+        slot: list(cfg.priority(slot))
+        for b, cfg in inst.branches.items() if b in mine for slot in cfg.slots()
+    }
+    promoted = set()
     for _ in range(moves):
-        options = []
-        for b, cfg in current.branches.items():
-            mine = [
-                cid
-                for cid in current.contracts_of_agent.get(agent, ())
-                if current.contract_index[cid].branch == b
-            ]
-            if not mine:
-                continue
-            for slot in cfg.slots():
-                ranking = cfg.priority(slot)
-                for cid in mine:
-                    if cid in ranking:
-                        pos = ranking.index(cid)
-                        if pos > 0:
-                            options.append((b, slot, cid, "raise"))
-                    else:
-                        options.append((b, slot, cid, "insert"))
+        # every contract of hers below the top of a ranking, or not in it
+        options = [
+            (slot, cid)
+            for slot, ranking in rankings.items()
+            for cid in mine[slot.branch]
+            if ranking[:1] != [cid]
+        ]
         if not options:
             break
-        b, slot, cid, kind = rng.choice(options)
-        cfg = current.branches[b]
-        ranking = list(cfg.priority(slot))
-        if kind == "raise":
+        slot, cid = rng.choice(options)
+        ranking = rankings[slot]
+        if cid in ranking:
             pos = ranking.index(cid)
             ranking.remove(cid)
             ranking.insert(rng.randrange(0, pos), cid)
         else:
             ranking.insert(rng.randint(0, len(ranking)), cid)
-        current = current.with_branch(cfg.with_ranking(slot, ranking))
-    return current
+        promoted.add(slot)
+    if not promoted:
+        return inst
+    branches = dict(inst.branches)
+    for slot in promoted:
+        branches[slot.branch] = branches[slot.branch].with_ranking(slot, rankings[slot])
+    return replace(inst, branches=branches)
 
 
 def check_respects_improvements(

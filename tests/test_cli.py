@@ -342,6 +342,19 @@ class TestExperiment:
         else:
             assert "added_contracts" in doc
 
+    @pytest.mark.parametrize("theorem", ["5", "6"])
+    def test_added_ids_skip_ids_the_market_has(self, tmp_path, capsys, theorem):
+        path = tmp_path / "inst.json"
+        path.write_text(serialize_instance(make_instance(
+            [("new01", "A", "b"), ("new03", "B", "b")],
+            {"A": ("new01",), "B": ("new03",)},
+            [branch(n=2, transfer=(1, 0), original=[("new01", "new03"), ("new03",)],
+                    shadow=[("new03",), ()])],
+        )))
+        code, out, _ = run_cli(capsys, "experiment", str(path), "--theorem", theorem, "--count", "3")
+        assert code in (0, 3)
+        assert [c["id"] for c in json.loads(out)["added_contracts"]] == ["new02", "new04", "new05"]
+
 
 def test_pipeline_gen_run_verify_oracle(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"

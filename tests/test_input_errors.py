@@ -2,6 +2,10 @@
 ``model.InputError``, and the library raises it with the text the CLI prints.
 Internal faults stay outside that type, so they still end in a traceback."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -151,3 +155,33 @@ def test_non_string_branch_id_exits_2(tmp_path, capsys, ids, where):
     code = main(["run", str(path)])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", f"{where}.id: expected a string\n")
+
+
+def _nested(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+def _deep_preference() -> str:
+    doc = json.loads(serialize_instance(MARKET))
+    doc["preferences"]["A"] = "@"
+    return json.dumps(doc).replace('"@"', _nested(900))
+
+
+@pytest.mark.parametrize("command, files", [
+    ("run", [_deep_preference()]),
+    ("run", ['{"contracts": %s, "preferences": {}, "branches": []}' % _nested(5000)]),
+    ("verify", [serialize_instance(MARKET), '{"assignment": %s}' % _nested(5000)]),
+], ids=["preference", "contracts", "outcome"])
+def test_deep_nesting_exits_2_without_a_traceback(tmp_path, command, files):
+    # json itself, and any walk over the decoded document, can run out of stack
+    paths = [tmp_path / f"{i}.json" for i in range(len(files))]
+    for path, text in zip(paths, files):
+        path.write_text(text)
+    src = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                                        os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "sspwct", command, *map(str, paths)],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr and "Traceback" not in done.stderr

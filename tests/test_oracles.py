@@ -158,7 +158,10 @@ def test_fail_verdicts_do_not_depend_on_the_hash_seed():
     # offer sets are frozensets of strings, whose order follows the hash seed;
     # the counts and witnesses of a fail verdict must not
     here = Path(__file__).resolve().parent
-    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    # prepend to the inherited path: the child imports test_oracles, hence pytest
+    path = os.pathsep.join(
+        filter(None, [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")])
+    )
     outputs = [
         subprocess.run(
             [sys.executable, "-c", _CORRUPTED_VERDICTS_SCRIPT],
@@ -319,7 +322,7 @@ class TestImprovements:
 
     def test_single_promotion_is_an_improvement(self):
         inst = self.flip_instance()
-        improved = generate_improvement(inst, "B", seed=0, moves=1)
+        improved = generate_improvement(inst, "B", seed=1)
         assert improved != inst
         assert is_priority_improvement(inst, improved, "B")
 
@@ -329,7 +332,7 @@ class TestImprovements:
             {"A": ("x",), "B": ("y",)},
             [branch(n=1, original=[()], shadow=[("y",)])],
         )
-        improved = generate_improvement(inst, "A", seed=2, moves=1)
+        improved = generate_improvement(inst, "A", seed=2)
         assert "x" in improved.branches["b"].original_priorities[0]
         assert is_priority_improvement(inst, improved, "A")
 
@@ -351,6 +354,16 @@ class TestImprovements:
             replace(inst.branches["b"], original_priorities=(("xa", "xc", "xb"),))
         )
         assert not is_priority_improvement(inst, shuffled, "A")
+
+    def test_a_generated_change_that_is_no_improvement_raises(self, monkeypatch):
+        # the self-check guards the generator: a demotion must never be tried
+        inst = self.flip_instance()
+        demoted = inst.with_branch(
+            replace(inst.branches["b"], original_priorities=(("xb", "xa"),))
+        )
+        monkeypatch.setattr(oracles, "generate_improvement", lambda inst, agent, seed: demoted)
+        with pytest.raises(RuntimeError, match="generated priority change for A fails"):
+            check_respects_improvements(inst, "A", trials=1)
 
     def test_improvement_flips_winner_and_helps_improved_agent(self):
         inst = self.flip_instance()
