@@ -18,6 +18,7 @@ from .mechanism import DEFAULT_BLOCKING_BOUND, cumulative_offer, stability_repor
 from .model import (
     InputError,
     Instance,
+    canonical_json,
     outcome_violations,
     parse_instance,
     serialize_instance,
@@ -30,7 +31,7 @@ EXIT_FAIL_VERDICT = 3
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    print(canonical_json(payload))
 
 
 def _load_instance(path: str) -> Instance:

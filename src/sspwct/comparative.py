@@ -379,9 +379,11 @@ def random_added_contracts(
     agent: AgentId | None = None,
 ) -> list[AddedContract]:
     """Draw new contracts with valid placements for the requested mode,
-    named ``new01``, ``new02``, ... skipping ids the market already has;
-    raises :class:`~sspwct.model.InputError` on a market with no agent or no
-    branch to draw from."""
+    named ``new01``, ``new02``, ... skipping ids the market already has; the
+    j-th has terms ``added-j``, or ``added-j-2``, ``added-j-3``, ... when its
+    owner already holds those terms at its branch.  Raises
+    :class:`~sspwct.model.InputError` on a market with no agent or no branch
+    to draw from."""
     agents = list(inst.agents)
     branches = list(inst.branches)
     for missing, drawn in (("agent", agents), ("branch", branches)):
@@ -396,10 +398,15 @@ def random_added_contracts(
     pref_growth: dict[AgentId, int] = {a: 0 for a in agents}
     names = (f"new{i:02d}" for i in itertools.count(1))
     new_ids = (cid for cid in names if cid not in inst.contract_index)
+    held = {(c.agent, c.branch, c.terms) for c in inst.contracts}
     for j in range(count):
         owner = agent if mode == MODE_SINGLE_AGENT else rng.choice(agents)
         branch = rng.choice(branches)
-        contract = Contract(next(new_ids), owner, branch, terms=f"added-{j + 1}")
+        terms, k = f"added-{j + 1}", 1
+        while (owner, branch, terms) in held:
+            k += 1
+            terms = f"added-{j + 1}-{k}"
+        contract = Contract(next(new_ids), owner, branch, terms)
         cfg = inst.branches[branch]
         slot_positions: dict[SlotId, int] = {}
         for slot in cfg.slots():

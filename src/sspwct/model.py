@@ -4,7 +4,8 @@ Everything is an immutable value object.  Constructors normalize collections
 to tuples so instances can be shared across threads and compared
 structurally.  JSON serialization is canonical (sorted keys, sorted contract
 and branch lists, two-space indent), which makes serialize -> parse ->
-serialize byte-identical.
+serialize byte-identical.  :func:`canonical_json` is the one canonical
+writer: instance files and every CLI document are its text.
 
 Rankings encode unacceptability implicitly: a contract is acceptable to an
 agent (or to a slot) iff it appears in the ranking.  The outside option sits
@@ -13,6 +14,7 @@ at the end of every list.
 from __future__ import annotations
 
 import json
+import sys
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -525,4 +527,47 @@ def instance_to_dict(inst: Instance) -> dict[str, Any]:
 
 def serialize_instance(inst: Instance) -> str:
     """Canonical serialization: sorted keys, sorted lists, trailing newline."""
-    return json.dumps(instance_to_dict(inst), sort_keys=True, indent=2) + "\n"
+    return canonical_json(instance_to_dict(inst)) + "\n"
+
+
+def canonical_json(value: Any) -> str:
+    """The canonical JSON text of ``value``, exactly ``json.dumps(value,
+    sort_keys=True, indent=2)``; every document sspwct writes goes through
+    here.  Before Python 3.13 json's C encoder ignores ``indent``, so there
+    this name is bound to :func:`_write_json` instead."""
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+def _write_json(value: Any) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` by C-level joins: a
+    list of strings is one join over the C string quoter, and a list object
+    is encoded once per depth (the memo holds it, so its id stays unique).
+    Other scalars and dicts with a non-string key go to ``json.dumps``, so
+    their text and errors are json's own."""
+    quote, memo = json.encoder.encode_basestring_ascii, {}
+
+    def write(v: Any, pad: str) -> str:
+        if isinstance(v, str):
+            return quote(v)
+        inner = pad + "  "
+        if isinstance(v, (list, tuple)):
+            hit = memo.get((id(v), pad))
+            if hit is None:
+                try:
+                    body = (",\n" + inner).join(map(quote, v))
+                except TypeError:  # not all strings
+                    body = (",\n" + inner).join([write(x, inner) for x in v])
+                hit = memo[id(v), pad] = (v, f"[\n{inner}{body}\n{pad}]" if v else "[]")
+            return hit[1]
+        if isinstance(v, dict) and all(isinstance(k, str) for k in v):
+            body = (",\n" + inner).join([f"{quote(k)}: {write(x, inner)}" for k, x in sorted(v.items())])
+            return f"{{\n{inner}{body}\n{pad}}}" if v else "{}"
+        if isinstance(v, dict):  # json converts or rejects the other keys; no string holds a newline
+            return json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n" + pad)
+        return json.dumps(v)
+
+    return write(value, "")
+
+
+if sys.version_info < (3, 13):
+    canonical_json = _write_json  # noqa: F811

@@ -355,6 +355,20 @@ class TestExperiment:
         assert code in (0, 3)
         assert [c["id"] for c in json.loads(out)["added_contracts"]] == ["new02", "new04", "new05"]
 
+    @pytest.mark.parametrize("theorem", ["5", "6"])
+    def test_added_terms_skip_terms_the_owner_holds_at_the_branch(self, tmp_path, capsys, theorem):
+        # the one owner and branch already hold terms added-1, the first
+        # added contract's terms before this clash was avoided (exit 2)
+        path = tmp_path / "inst.json"
+        path.write_text(serialize_instance(make_instance(
+            [("added-1", "A", "b")], {"A": ("added-1",)}, [branch(original=[("added-1",)])],
+        )))
+        code, out, err = run_cli(capsys, "experiment", str(path), "--theorem", theorem)
+        assert (code, err) == (0, "")
+        assert [(c["id"], c["agent"], c["branch"]) for c in json.loads(out)["added_contracts"]] == [
+            ("new01", "A", "b")
+        ]
+
 
 def test_pipeline_gen_run_verify_oracle(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"

@@ -348,6 +348,13 @@ class TestAddContracts:
             apply_additions(self.base_instance(), [added], MODE_SINGLE_AGENT)
         assert str(exc.value) == f"contract nw cannot be listed: branch b has no seat {slot!r}"
 
+    def test_added_terms_are_new_to_their_owner_at_their_branch(self):
+        inst = make_instance([("added-1", "A", "b")], {"A": ("added-1",)}, [branch(original=[("added-1",)])])
+        inst = apply_additions(inst, random_added_contracts(inst, random.Random(0), MODE_BOTTOM), MODE_BOTTOM)
+        adds = random_added_contracts(inst, random.Random(0), MODE_BOTTOM, count=2)
+        assert [a.contract.terms for a in adds] == ["added-1-3", "added-2"]
+        assert not validate_instance(apply_additions(inst, adds, MODE_BOTTOM))
+
     def test_owner_never_worse_in_single_agent_mode_randomized(self):
         rng = random.Random(5)
         for seed in range(60):
