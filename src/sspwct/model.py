@@ -14,7 +14,6 @@ at the end of every list.
 from __future__ import annotations
 
 import json
-import sys
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -533,41 +532,32 @@ def serialize_instance(inst: Instance) -> str:
 def canonical_json(value: Any) -> str:
     """The canonical JSON text of ``value``, exactly ``json.dumps(value,
     sort_keys=True, indent=2)``; every document sspwct writes goes through
-    here.  Before Python 3.13 json's C encoder ignores ``indent``, so there
-    this name is bound to :func:`_write_json` instead."""
-    return json.dumps(value, sort_keys=True, indent=2)
-
-
-def _write_json(value: Any) -> str:
-    """``json.dumps(value, sort_keys=True, indent=2)`` by C-level joins: a
-    list of strings is one join over the C string quoter, and a list object
-    is encoded once per depth (the memo holds it, so its id stays unique).
-    Other scalars and dicts with a non-string key go to ``json.dumps``, so
-    their text and errors are json's own."""
+    here.  It joins at C level instead of running json's pure-Python indent
+    encoder: a list of strings is one join over the C string quoter, and its
+    text is kept per depth, so a list object that trace steps share is
+    written once.  Other scalars and dicts with a non-string key go to
+    ``json.dumps``, so their text and errors are json's own."""
     quote, memo = json.encoder.encode_basestring_ascii, {}
 
     def write(v: Any, pad: str) -> str:
         if isinstance(v, str):
             return quote(v)
-        inner = pad + "  "
+        inner, sep = pad + "  ", ",\n" + pad + "  "
         if isinstance(v, (list, tuple)):
-            hit = memo.get((id(v), pad))
-            if hit is None:
+            if not v:
+                return "[]"
+            text = memo.get((id(v), pad))  # ids stay unique: every list in value lives until we return
+            if text is None:
                 try:
-                    body = (",\n" + inner).join(map(quote, v))
+                    text = memo[id(v), pad] = f"[\n{inner}{sep.join(map(quote, v))}\n{pad}]"
                 except TypeError:  # not all strings
-                    body = (",\n" + inner).join([write(x, inner) for x in v])
-                hit = memo[id(v), pad] = (v, f"[\n{inner}{body}\n{pad}]" if v else "[]")
-            return hit[1]
+                    text = f"[\n{inner}{sep.join([write(x, inner) for x in v])}\n{pad}]"
+            return text
         if isinstance(v, dict) and all(isinstance(k, str) for k in v):
-            body = (",\n" + inner).join([f"{quote(k)}: {write(x, inner)}" for k, x in sorted(v.items())])
+            body = sep.join([f"{quote(k)}: {write(x, inner)}" for k, x in sorted(v.items())])
             return f"{{\n{inner}{body}\n{pad}}}" if v else "{}"
         if isinstance(v, dict):  # json converts or rejects the other keys; no string holds a newline
             return json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n" + pad)
         return json.dumps(v)
 
     return write(value, "")
-
-
-if sys.version_info < (3, 13):
-    canonical_json = _write_json  # noqa: F811

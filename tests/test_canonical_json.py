@@ -1,7 +1,5 @@
 """``model.canonical_json`` against ``json.dumps(value, sort_keys=True,
-indent=2)``.  Before Python 3.13 the public function is the writer
-``model._write_json``; from 3.13 on it is ``json.dumps`` itself.  Every test
-here takes both, so each Python version tests the writer too."""
+indent=2)``."""
 import functools
 import json
 import math
@@ -17,9 +15,6 @@ from sspwct.generator import GeneratorConfig, generate_instance
 from sspwct.mechanism import cumulative_offer
 
 from conftest import branch, make_instance
-
-BOTH, NAMES = [model.canonical_json, model._write_json], ["canonical_json", "_write_json"]
-WRITERS = pytest.mark.parametrize("writer", BOTH, ids=NAMES)
 
 
 def reference(value) -> str:
@@ -40,24 +35,21 @@ values = st.recursive(
 )
 
 
-@WRITERS
 @settings(max_examples=150, deadline=None)
 @given(values)
-def test_any_json_value(writer, value):
-    assert writer(value) == reference(value)
+def test_any_json_value(value):
+    assert model.canonical_json(value) == reference(value)
 
 
-@WRITERS
 @settings(max_examples=60, deadline=None)
 @given(values, st.lists(st.text(max_size=3), max_size=3))
-def test_one_list_object_at_two_depths(writer, value, shared):
+def test_one_list_object_at_two_depths(value, shared):
     # the memo is keyed by the list and its depth: a list met again at
     # another depth is written at that depth's indent
     doc = {"a": shared, "b": [shared, {"c": shared, "d": [value, shared]}], "e": [value, [value]]}
-    assert writer(doc) == reference(doc)
+    assert model.canonical_json(doc) == reference(doc)
 
 
-@WRITERS
 @pytest.mark.parametrize("value", [
     [], {}, [[]], {"a": {}}, ("x",), [(), ["y", ("z",)]],
     {"a": [1, "b"], "b": [None, True, 1.5]},
@@ -65,11 +57,10 @@ def test_one_list_object_at_two_depths(writer, value, shared):
     {"outer": {3: {"x": ["s"]}, -1: []}},
     [math.nan, -math.inf, -0.0, 10 ** 30],
 ])
-def test_edge_values(writer, value):
-    assert writer(value) == reference(value)
+def test_edge_values(value):
+    assert model.canonical_json(value) == reference(value)
 
 
-@WRITERS
 @pytest.mark.parametrize("value", [
     frozenset({"a"}),
     [1, {"k": {2}}],
@@ -77,24 +68,23 @@ def test_edge_values(writer, value):
     {"a": 1, 2: 3},  # keys json cannot sort
     {"a": [object()]},
 ])
-def test_unsupported_values_raise_what_json_raises(writer, value):
+def test_unsupported_values_raise_what_json_raises(value):
     with pytest.raises(TypeError) as expected:
         reference(value)
     with pytest.raises(TypeError, match=re.escape(str(expected.value))):
-        writer(value)
+        model.canonical_json(value)
 
 
-@WRITERS
 @pytest.mark.parametrize("config", [
     dict(seed=seed, agents=6, branches=2) for seed in range(5)
 ] + [
     dict(seed=3, agents=40, branches=5, capacity=(4, 8)),
     dict(seed=100, agents=200, branches=10, capacity=(15, 15)),  # size M
 ], ids=lambda config: f"{config['agents']}x{config['branches']}-seed{config['seed']}")
-def test_instance_files(writer, config):
+def test_instance_files(config):
     inst = generate_instance(GeneratorConfig(**config))
     doc = model.instance_to_dict(inst)
-    assert writer(doc) == reference(doc)
+    assert model.canonical_json(doc) == reference(doc)
     assert model.serialize_instance(inst) == reference(doc) + "\n"
 
 
@@ -110,14 +100,14 @@ def test_trace_steps_share_the_pools_they_did_not_grow():
 # -- every CLI command's payload --
 
 
-@pytest.fixture(params=BOTH, ids=NAMES)
-def written(request, monkeypatch):
-    """The texts the CLI writes, by the writer under test, each checked
-    against ``json.dumps`` of the same payload."""
-    texts = []
+@pytest.fixture
+def written(monkeypatch):
+    """The texts the CLI writes, each checked against ``json.dumps`` of the
+    same payload."""
+    texts, write = [], model.canonical_json
 
     def checked(value):
-        text = request.param(value)
+        text = write(value)
         assert text == reference(value)
         texts.append(text)
         return text
@@ -185,4 +175,4 @@ def test_large_trace_payload():
     inst = generate_instance(GeneratorConfig(seed=100, agents=200, branches=10, capacity=(15, 15)))
     trace = cumulative_offer(inst)
     payload = {"outcome": sorted(trace.outcome), "trace": trace.to_json()["steps"]}
-    assert model._write_json(payload) == model.canonical_json(payload) == reference(payload)
+    assert model.canonical_json(payload) == reference(payload)
