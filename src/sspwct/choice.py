@@ -18,6 +18,10 @@ seats:
   substitutable, satisfies the irrelevance of rejected contracts, and the
   law of aggregate demand (see the oracles module for executable checks).
 
+Both rules take any offer set Y and choose from its part at the branch,
+C_b(Y) = C_b(Y ∩ X_b): a seat picks only from its ranking, and a validated
+ranking lists only the branch's own contracts.
+
 Both return a :class:`ChoiceResult`: the chosen set plus one pick per seat
 of the seat plan, read through its seat ledger ``seats``.  Whether a seat
 was active is decided only here, and is not stored: shadow seat k was
@@ -29,10 +33,6 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .model import BranchConfig, Contract, ContractId, SeatPlanEntry, SlotId
-
-
-class ForeignContract(ValueError):
-    """An offered contract does not belong to the choosing branch."""
 
 
 class ChoiceResult:
@@ -67,13 +67,6 @@ def _choose(
     completion: bool,
 ) -> ChoiceResult:
     offer_set = frozenset(offers)
-    for cid in offer_set:
-        c = contracts.get(cid)
-        if c is None:
-            raise ForeignContract(f"unknown contract {cid} offered to branch {cfg.id}")
-        if c.branch != cfg.id:
-            raise ForeignContract(f"contract {cid} belongs to branch {c.branch}, not {cfg.id}")
-
     plan = cfg.seat_plan
     picks: list[ContractId | None] = []
     taken_ids: set[ContractId] = set()

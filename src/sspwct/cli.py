@@ -72,18 +72,19 @@ def _load_outcome(path: str, inst: Instance) -> frozenset:
 
 def _add_generator_flags(parser: argparse.ArgumentParser) -> None:
     g = parser.add_argument_group("generator")
-    g.add_argument("--agents", type=int, default=4)
-    g.add_argument("--branches", type=int, default=2)
-    g.add_argument("--cap-min", type=int, default=1)
-    g.add_argument("--cap-max", type=int, default=3)
-    g.add_argument("--contracts-min", type=int, default=0)
-    g.add_argument("--contracts-max", type=int, default=2)
-    g.add_argument("--density", type=float, default=0.8)
-    g.add_argument("--transfer-density", type=float, default=0.5)
+    config = generator.GeneratorConfig  # the one owner of the defaults
+    g.add_argument("--agents", type=int, default=config.agents)
+    g.add_argument("--branches", type=int, default=config.branches)
+    g.add_argument("--cap-min", type=int, default=config.capacity[0])
+    g.add_argument("--cap-max", type=int, default=config.capacity[1])
+    g.add_argument("--contracts-min", type=int, default=config.contracts_per_pair[0])
+    g.add_argument("--contracts-max", type=int, default=config.contracts_per_pair[1])
+    g.add_argument("--density", type=float, default=config.density)
+    g.add_argument("--transfer-density", type=float, default=config.transfer_density)
     g.add_argument(
         "--location-policy",
         choices=generator.LOCATION_POLICIES,
-        default=generator.LOCATION_RANDOM,
+        default=config.location_policy,
     )
     g.add_argument(
         "--allow-empty-prefs",

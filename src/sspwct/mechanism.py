@@ -7,25 +7,24 @@ grow, and a contract that drops out of a branch's chosen set counts as
 rejected.  The outcome is the union of every branch's choice from its final
 pool.
 
-Each round does only the work that round needs.  A round changes one
-branch's chosen set, so COM keeps, per agent, a cursor into her preference
-list and a count of her currently chosen contracts, updated from that one
-branch's old-versus-new chosen diff; an agent is held while her count is
-positive.  The newly rejected contracts are the old chosen set minus the
-new one, plus the proposal if it was not chosen (every other pool contract
-outside the chosen set was rejected at an earlier round).  The eligible
-agents (unheld, with a contract left to propose) sit in a sorted list that
-only the touched agents update.  ``lex`` takes its first element and
-``random`` draws ``rng.choice`` from it; the old per-round scan listed the
-same agents in the same order, so both policies pick the same proposer and
-traces are unchanged (by Hirata & Kasuya's order independence, the outcome
-would not depend on that order anyway).  COM keeps one pool per branch
-and logs each step as one move (proposer, contract, branch, held); a
-step's pools are the contracts proposed to each branch so far, so the
-trace rebuilds them from the log only when they are read.  Per branch, COM
-keeps only its latest choice, whose chosen set is the old side of the next
-diff; the final choices' union is the outcome, and their merged ledgers
-are the trace's seat ledger.
+Each round does only the work that round needs.  An agent proposes in
+preference order, and while she holds nothing every contract she has
+proposed is rejected, so her favorite not-yet-rejected contract is the
+first she has not proposed: COM keeps, per agent, how many she has
+proposed, and how many of her contracts are chosen, updated from the one
+branch's old-versus-new chosen diff that a round makes; an agent is held
+while that count is positive.  The eligible agents (unheld, with a contract
+left to propose) sit in a sorted list that only the touched agents update.
+``lex`` takes its first element and ``random`` draws ``rng.choice`` from
+it; the old per-round scan listed the same agents in the same order, so
+both policies pick the same proposer and traces are unchanged (by Hirata &
+Kasuya's order independence, the outcome would not depend on that order
+anyway).  COM keeps one pool per branch and logs each step as one move
+(proposer, contract, branch, held); a step's pools are the contracts
+proposed to each branch so far, so the trace rebuilds them from the log
+only when they are read.  Per branch, COM keeps only its latest choice,
+whose chosen set is the old side of the next diff; the final choices'
+union is the outcome, and their merged ledgers are the trace's seat ledger.
 
 Stability is verified by brute force on one path, :func:`stability_report`:
 feasibility, individual rationality and an exhaustive search over candidate
@@ -137,6 +136,9 @@ def cumulative_offer(inst: Instance, policy: str = POLICY_LEX, seed: int = 0) ->
     ``"lex"`` takes the smallest agent id (the canonical, deterministic
     default), ``"random"`` draws uniformly with the given seed.  The outcome
     is policy-independent; the random policy exists to test exactly that.
+    Every step proposes a contract its agent has not proposed before, so a
+    run takes at most ``sum(len(r) for r in inst.preferences.values())``
+    steps, on any instance.
     """
     if policy not in (POLICY_LEX, POLICY_RANDOM):
         raise InputError(f"unknown proposal policy {policy!r}")
@@ -146,23 +148,18 @@ def cumulative_offer(inst: Instance, policy: str = POLICY_LEX, seed: int = 0) ->
 
     pools: dict[BranchId, set[ContractId]] = {}
     choices: dict[BranchId, ChoiceResult] = {}
-    rejected: set[ContractId] = set()
-    cursor = dict.fromkeys(inst.agents, 0)  # first not-yet-rejected contract
+    proposed = dict.fromkeys(inst.agents, 0)  # contracts proposed so far
     held = dict.fromkeys(inst.agents, 0)  # contracts in the chosen sets
     moves: list[Move] = []
 
     def can_propose(agent: AgentId) -> bool:
-        ranking = preferences.get(agent, ())
-        i = cursor[agent]
-        while i < len(ranking) and ranking[i] in rejected:
-            i += 1
-        cursor[agent] = i
-        return held[agent] == 0 and i < len(ranking)
+        return held[agent] == 0 and proposed[agent] < len(preferences.get(agent, ()))
 
     eligible = [agent for agent in inst.agents if can_propose(agent)]  # sorted
     while eligible:
         agent = eligible[0] if policy == POLICY_LEX else rng.choice(eligible)
-        cid = preferences[agent][cursor[agent]]
+        cid = preferences[agent][proposed[agent]]
+        proposed[agent] += 1
         branch = index[cid].branch
         pool = pools.setdefault(branch, set())
         pool.add(cid)
@@ -172,14 +169,11 @@ def cumulative_offer(inst: Instance, policy: str = POLICY_LEX, seed: int = 0) ->
         # only the proposer and the agents in this branch's chosen diff change
         touched = {agent}
         for c in old - new:
-            rejected.add(c)
             held[index[c].agent] -= 1
             touched.add(index[c].agent)
         for c in new - old:
             held[index[c].agent] += 1
             touched.add(index[c].agent)
-        if cid not in new:
-            rejected.add(cid)
         for a in touched:
             i = bisect_left(eligible, a)
             listed = i < len(eligible) and eligible[i] == a

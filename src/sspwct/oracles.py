@@ -501,9 +501,10 @@ def run_suite(
     and ``trials`` or ``jobs`` below 1 raise
     :class:`~sspwct.model.InputError` before any instance runs.
 
-    With ``jobs > 1`` the per-instance work fans out to a process pool;
-    every check is a pure function of an immutable instance, so the workers
-    receive pickled instances and return their verdicts.
+    With ``jobs > 1`` the per-instance work fans out to a process pool of
+    at most one worker per instance; every check is a pure function of an
+    immutable instance, so the workers receive pickled instances and return
+    their verdicts.
     """
     if trials < 1:
         raise InputError(f"trials must be at least 1 (got {trials})")
@@ -511,10 +512,11 @@ def run_suite(
         raise InputError(f"jobs must be at least 1 (got {jobs})")
     suites = requested_suites(suites)
     run_one = partial(run_suite_on_instance, suites=suites, trials=trials, seed=seed, bound=bound)
-    if jobs > 1:
+    workers = min(jobs, len(instances))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(run_one, instances))
     else:
         batches = [run_one(inst) for inst in instances]

@@ -2,7 +2,7 @@
 
 These are the straightforward versions the library's fast paths replaced:
 the seat merge rebuilt on every choice call, the choice rule walking it with
-dict bookkeeping, a cumulative offer process that rescans every agent each
+dict bookkeeping (and refusing offers its branch does not own), a cumulative offer process that rescans every agent each
 round and copies every branch's pool into every step, a blocking search
 that rescans the outcome for every agent of every candidate set, and the
 seat ledger and holder lookups that chose again from the final pools and
@@ -19,7 +19,6 @@ from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple
 
 from sspwct import mechanism
-from sspwct.choice import ForeignContract
 from sspwct.mechanism import POLICY_LEX, POLICY_RANDOM
 from sspwct.model import (
     ORIGINAL,
@@ -32,6 +31,10 @@ from sspwct.model import (
     Outcome,
     SlotId,
 )
+
+
+class ForeignContract(ValueError):
+    """An offered contract does not belong to the choosing branch."""
 
 
 def slot_order(cfg: BranchConfig) -> tuple[SlotId, ...]:

@@ -1,7 +1,6 @@
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from sspwct.choice import ForeignContract, completion_choose, sspwct_choose
+from sspwct.choice import completion_choose, sspwct_choose
 from sspwct.model import ORIGINAL, Contract, Instance
 
 from conftest import branch, make_instance
@@ -84,15 +83,6 @@ class TestSspwctChoose:
         assert result.seats == {} and cfg.transfer == (1,)
         ranked = cfg.with_ranking(cfg.shadow_slot(1), ("x",))
         assert sspwct_choose(ranked, {"x"}, inst.contract_index).seats == {cfg.shadow_slot(1): "x"}
-
-    def test_foreign_contract_rejected(self):
-        inst = make_instance(
-            [("x", "A", "b"), ("z", "A", "b2")],
-            {"A": ("x", "z")},
-            [branch("b", n=1, original=[("x",)]), branch("b2", n=1)],
-        )
-        with pytest.raises(ForeignContract, match="z"):
-            sspwct_choose(inst.branches["b"], {"x", "z"}, inst.contract_index)
 
 
 class TestCompletion:
@@ -229,3 +219,22 @@ def test_completion_dichotomy(market):
         agents = [inst.contract_index[c].agent for c in comp]
         assert len(set(agents)) < len(agents)
     assert comp <= offers
+
+
+# contracts of the market's agents at another branch, and ids no market has
+FOREIGN = {f"f{i}": Contract(f"f{i}", agent, "z", terms=f"f{i}") for i, agent in enumerate(AGENTS)}
+UNKNOWN = ("u0", "u1")
+
+
+@settings(max_examples=200, deadline=None)
+@given(branch_market(), st.sets(st.sampled_from([*FOREIGN, *UNKNOWN]), min_size=1))
+def test_rules_choose_from_the_branch_part_of_any_offer_set(market, strangers):
+    """C_b(Y) = C_b(Y ∩ X_b): offers of other branches' contracts and of
+    unknown ids change neither the chosen set nor the seat ledger."""
+    inst, own = market
+    cfg = inst.branches["b"]
+    contracts = {**inst.contract_index, **FOREIGN}
+    for rule in (sspwct_choose, completion_choose):
+        mixed = rule(cfg, own | strangers, contracts)
+        alone = rule(cfg, own, contracts)
+        assert (mixed.chosen, mixed.seats) == (alone.chosen, alone.seats)

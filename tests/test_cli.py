@@ -9,6 +9,7 @@ import pytest
 import sspwct
 from sspwct import cli, comparative, mechanism
 from sspwct.cli import main
+from sspwct.generator import GeneratorConfig
 from sspwct.model import parse_instance, serialize_instance, validate_instance
 
 from conftest import branch, make_instance
@@ -54,6 +55,11 @@ class TestGen:
         assert err.startswith("invalid generator config: " + field)
         code, out, err = run_cli(capsys, "gen", *flags)
         assert code == 2 and out == "" and field in err
+
+    @pytest.mark.parametrize("command", ["gen", "oracle"])
+    def test_flag_defaults_are_the_config_defaults(self, command):
+        args = cli.build_parser().parse_args([command])
+        assert cli._generator_config(args) == GeneratorConfig()
 
     @pytest.mark.parametrize("target", ["missing/m.json", "."])
     def test_unwritable_out_exits_2(self, tmp_path, capsys, target):

@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from sspwct import cli, comparative, generator, mechanism, oracles
-from sspwct.choice import ForeignContract
 from sspwct.cli import main
 from sspwct.model import InputError, ParseError, serialize_instance
 
@@ -30,7 +29,6 @@ INPUT_ERRORS = [
     comparative.ConditionViolation,
 ]
 INTERNAL_FAULTS = [
-    ForeignContract,
     comparative.PreconditionUnmet,
     comparative.ImprovementChainError,
 ]

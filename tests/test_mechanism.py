@@ -30,10 +30,12 @@ def contested_instance():
 
 def replay_trace(inst, trace):
     """Re-derive every step's legality from the recorded pools: the proposer
-    was not held, proposed her favorite not-yet-rejected contract, and the
-    verdict matches the branch's choice."""
+    was not held, proposed her favorite not-yet-rejected contract, which is
+    her first not-yet-proposed one, and the verdict matches the branch's
+    choice."""
     pools = {b: frozenset() for b in inst.branches}
     rejected = set()
+    proposed = dict.fromkeys(inst.agents, 0)
     for step in trace.steps:
         held = {
             inst.contract_index[c].agent
@@ -44,7 +46,8 @@ def replay_trace(inst, trace):
         favorite = next(
             (c for c in inst.preferences[step.agent] if c not in rejected), None
         )
-        assert favorite == step.contract
+        assert favorite == step.contract == inst.preferences[step.agent][proposed[step.agent]]
+        proposed[step.agent] += 1
         b = inst.contract_index[step.contract].branch
         new_pool = pools[b] | {step.contract}
         chosen = branch_choice(inst, b, new_pool).chosen
@@ -101,8 +104,32 @@ class TestCumulativeOffer:
 
     def test_traces_replay_on_random_instances(self):
         for seed in range(15):
-            inst = generate_instance(GeneratorConfig(seed=seed))
-            replay_trace(inst, cumulative_offer(inst))
+            inst = generate_instance(GeneratorConfig(seed=seed, agents=4 + seed))
+            trace = cumulative_offer(inst, policy="random" if seed % 2 else "lex", seed=seed)
+            replay_trace(inst, trace)
+            # every step proposes a contract its agent has not proposed before
+            assert len(trace.moves) <= sum(len(ranking) for ranking in inst.preferences.values())
+
+    def test_terminates_when_an_agent_ranks_anothers_contract(self, monkeypatch):
+        # invalid: A ranks B's x (validate_instance flags it); COM must still
+        # stop, after at most one step per ranked contract
+        inst = make_instance(
+            [("x", "B", "b"), ("y", "A", "b")],
+            {"A": ("x", "y"), "B": ("x",)},
+            [branch(n=2, location=(2, 2), original=[("x", "y"), ("y", "x")])],
+        )
+        choose, calls = mechanism.sspwct_choose, []
+
+        def counted(*args):
+            calls.append(args)
+            if len(calls) > 100:
+                raise RuntimeError("COM made more than 100 choice calls")
+            return choose(*args)
+
+        monkeypatch.setattr(mechanism, "sspwct_choose", counted)
+        trace = cumulative_offer(inst)
+        assert [(agent, cid) for agent, cid, *_ in trace.moves] == [("A", "x"), ("A", "y")]
+        assert len(calls) == 2
 
     def test_trace_logs_moves_and_builds_steps_on_read(self, monkeypatch):
         # COM keeps one pool per branch and a move log, so what a run

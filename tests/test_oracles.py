@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -474,6 +475,32 @@ class TestSuiteRunner:
         assert sorted(v.to_json().items() for v in serial) == sorted(
             v.to_json().items() for v in parallel
         )
+
+    @pytest.mark.parametrize("jobs, count, workers", [(8, 1, None), (8, 3, 3), (2, 5, 2), (4, 0, None)])
+    def test_run_suite_starts_at_most_one_worker_per_instance(self, monkeypatch, jobs, count, workers):
+        # a fork-based pool forks all of its workers up front, so a pool
+        # wider than the batch starts processes that never get work
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        instances = [generate_instance(GeneratorConfig(seed=s, agents=3, branches=2)) for s in range(count)]
+        verdicts = run_suite(instances, ["completion", "irc"], trials=2, jobs=jobs)
+        assert started == ([] if workers is None else [workers])
+        serial = run_suite(instances, ["completion", "irc"], trials=2)
+        assert [v.to_json() for v in verdicts] == [v.to_json() for v in serial]
 
     def test_unknown_suite_rejected(self, monkeypatch):
         # before any instance runs, also when "all" is among the names
