@@ -6,21 +6,22 @@ k is slotted in right after the l_k-th original seat (and after any earlier
 shadow seat).  Original seats always hold one unit of capacity.  A shadow
 seat holds capacity only if its paired original seat ended up vacant *and*
 the branch's transfer bit for that pair is set; otherwise it is inactive.
+The seat plan leaves out shadow seats whose bit is 0 (with every bit at 0,
+the rule is Kominers & Sönmez's slot-specific rule).
 
-Two rules share this skeleton and differ only in what they remove between
-seats:
+Two rules walk the plan and differ only in what a pick excludes later:
 
-* ``sspwct_choose`` removes every remaining contract of an agent once one of
-  her contracts is taken, so the result never holds two contracts of the
-  same agent.
-* ``completion_choose`` removes only the specific contracts already taken.
-  It may select two contracts of one agent, and in exchange it is
-  substitutable, satisfies the irrelevance of rejected contracts, and the
-  law of aggregate demand (see the oracles module for executable checks).
+* ``sspwct_choose`` excludes the pick's agent, so the result never holds two
+  contracts of the same agent.
+* ``completion_choose`` excludes only the picked contract.  It may select
+  two contracts of one agent, and in exchange it is substitutable,
+  satisfies the irrelevance of rejected contracts, and the law of aggregate
+  demand (see the oracles module for executable checks).
 
 Both rules take any offer set Y and choose from its part at the branch,
 C_b(Y) = C_b(Y ∩ X_b): a seat picks only from its ranking, and a validated
-ranking lists only the branch's own contracts.
+ranking lists only the branch's own contracts.  A set of offers is read in
+place; any other iterable is frozen once.
 
 Both return a :class:`ChoiceResult`: the chosen set plus one pick per seat
 of the seat plan, read through its seat ledger ``seats``.  Whether a seat
@@ -57,7 +58,7 @@ class ChoiceResult:
     def seats(self) -> dict[SlotId, ContractId]:
         """The seat ledger: each occupied seat -> its contract, in the
         branch's processing order."""
-        return {slot: pick for (slot, *_), pick in zip(self._plan, self._picks) if pick is not None}
+        return {slot: pick for (slot, _, _), pick in zip(self._plan, self._picks) if pick is not None}
 
 
 def _choose(
@@ -66,30 +67,27 @@ def _choose(
     contracts: Mapping[ContractId, Contract],
     completion: bool,
 ) -> ChoiceResult:
-    offer_set = frozenset(offers)
+    if not isinstance(offers, (set, frozenset)):
+        offers = frozenset(offers)
     plan = cfg.seat_plan
     picks: list[ContractId | None] = []
-    taken_ids: set[ContractId] = set()
-    taken_agents: set[str] = set()
+    excluded: set[str] = set()  # the picks' agents, or the picks themselves
 
-    for _, paired, bit, ranking in plan:
+    for _, paired, ranking in plan:
         pick: ContractId | None = None
-        # an original seat always holds capacity; a shadow seat only if its
-        # paired original stayed vacant and the transfer bit allows it
-        if paired < 0 or (bit == 1 and picks[paired] is None):
+        # an original seat always holds capacity; a planned shadow seat only
+        # if its paired original stayed vacant
+        if paired < 0 or picks[paired] is None:
             for cid in ranking:
-                if cid not in offer_set or cid in taken_ids:
-                    continue
-                if not completion and contracts[cid].agent in taken_agents:
-                    continue
-                pick = cid
-                break
+                if cid in offers:
+                    key = cid if completion else contracts[cid].agent
+                    if key not in excluded:
+                        excluded.add(key)
+                        pick = cid
+                        break
         picks.append(pick)
-        if pick is not None:
-            taken_ids.add(pick)
-            taken_agents.add(contracts[pick].agent)
 
-    return ChoiceResult(frozenset(taken_ids), plan, picks)
+    return ChoiceResult(frozenset(pick for pick in picks if pick is not None), plan, picks)
 
 
 def sspwct_choose(

@@ -2,19 +2,21 @@
 battery, run comparative-statics experiments, and generate instances.
 
 Data goes to stdout as JSON; diagnostics go to stderr.  Exit codes: 0 on
-success, 2 on bad input (exactly :class:`~sspwct.model.InputError`), 3 when
-a requested check comes back with a fail verdict.
+success, 1 when the reader closed stdout early (nothing goes to stderr), 2
+on bad input (exactly :class:`~sspwct.model.InputError`), 3 when a
+requested check comes back with a fail verdict.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from typing import Sequence
 
 from . import comparative, generator, oracles
-from .mechanism import DEFAULT_BLOCKING_BOUND, cumulative_offer, stability_report
+from .mechanism import DEFAULT_BLOCKING_BOUND, POLICY_LEX, POLICY_RANDOM, cumulative_offer, stability_report
 from .model import (
     InputError,
     Instance,
@@ -26,6 +28,7 @@ from .model import (
 )
 
 EXIT_OK = 0
+EXIT_CLOSED_STDOUT = 1
 EXIT_INVALID = 2
 EXIT_FAIL_VERDICT = 3
 
@@ -258,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run the cumulative offer mechanism on an instance")
     p_run.add_argument("instance")
     p_run.add_argument("--trace", action="store_true", help="include the step-by-step log")
-    p_run.add_argument("--policy", choices=["lex", "random"], default="lex")
+    p_run.add_argument("--policy", choices=[POLICY_LEX, POLICY_RANDOM], default=POLICY_LEX)
     p_run.add_argument("--seed", type=int, default=0)
     p_run.set_defaults(func=_cmd_run)
 
@@ -306,10 +309,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except InputError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INVALID
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): what is left goes to devnull,
+        # so the interpreter's final flush stays silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_STDOUT
 
 
 if __name__ == "__main__":

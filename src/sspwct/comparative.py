@@ -73,10 +73,6 @@ class ComparisonReport:
     baseline_seats: Mapping[SlotId, ContractId]
     modified_seats: Mapping[SlotId, ContractId]
 
-    @property
-    def strict_improvers(self) -> tuple[AgentId, ...]:
-        return tuple(a for a, s in sorted(self.per_agent.items()) if s == STRICTLY_BETTER)
-
     def to_json(self) -> dict:
         return {
             "baseline": sorted(self.baseline),

@@ -11,20 +11,19 @@ Each round does only the work that round needs.  An agent proposes in
 preference order, and while she holds nothing every contract she has
 proposed is rejected, so her favorite not-yet-rejected contract is the
 first she has not proposed: COM keeps, per agent, how many she has
-proposed, and how many of her contracts are chosen, updated from the one
-branch's old-versus-new chosen diff that a round makes; an agent is held
-while that count is positive.  The eligible agents (unheld, with a contract
-left to propose) sit in a sorted list that only the touched agents update.
-``lex`` takes its first element and ``random`` draws ``rng.choice`` from
-it; the old per-round scan listed the same agents in the same order, so
-both policies pick the same proposer and traces are unchanged (by Hirata &
-Kasuya's order independence, the outcome would not depend on that order
-anyway).  COM keeps one pool per branch and logs each step as one move
-(proposer, contract, branch, held); a step's pools are the contracts
-proposed to each branch so far, so the trace rebuilds them from the log
-only when they are read.  Per branch, COM keeps only its latest choice,
-whose chosen set is the old side of the next diff; the final choices'
-union is the outcome, and their merged ledgers are the trace's seat ledger.
+proposed, and how many of her contracts are chosen, updated in one pass
+over the symmetric difference of the one branch's old and new chosen sets;
+an agent is held while that count is positive.  The eligible agents
+(unheld, with a contract left to propose) sit in a list sorted by id that
+only the touched agents update.  ``lex`` takes its first element and
+``random`` draws ``rng.choice`` from it (by Hirata & Kasuya's order
+independence, the outcome does not depend on the policy).  COM keeps one
+pool per branch and logs each step as one move (proposer, contract,
+branch, held); a step's pools are the contracts proposed to each branch so
+far, so the trace rebuilds them from the log only when they are read.  Per
+branch, COM keeps only its latest choice, whose chosen set is the old side
+of the next diff; the final choices' union is the outcome, and their merged
+ledgers are the trace's seat ledger.
 
 Stability is verified by brute force on one path, :func:`stability_report`:
 feasibility, individual rationality and an exhaustive search over candidate
@@ -168,12 +167,10 @@ def cumulative_offer(inst: Instance, policy: str = POLICY_LEX, seed: int = 0) ->
         new = result.chosen
         # only the proposer and the agents in this branch's chosen diff change
         touched = {agent}
-        for c in old - new:
-            held[index[c].agent] -= 1
-            touched.add(index[c].agent)
-        for c in new - old:
-            held[index[c].agent] += 1
-            touched.add(index[c].agent)
+        for c in old ^ new:
+            owner = index[c].agent
+            held[owner] += 1 if c in new else -1
+            touched.add(owner)
         for a in touched:
             i = bisect_left(eligible, a)
             listed = i < len(eligible) and eligible[i] == a

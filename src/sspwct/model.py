@@ -57,9 +57,9 @@ class SlotId:
         return f"{self.branch}:{tag}{self.index}"
 
 
-#: One seat of :attr:`BranchConfig.seat_plan`: (slot, position of the paired
-#: original seat or -1, transfer bit, ranking).
-SeatPlanEntry = tuple[SlotId, int, int, tuple[ContractId, ...]]
+#: One seat of :attr:`BranchConfig.seat_plan`: (slot, plan position of the
+#: paired original seat or -1, ranking).
+SeatPlanEntry = tuple[SlotId, int, tuple[ContractId, ...]]
 
 
 @dataclass(frozen=True)
@@ -151,19 +151,19 @@ class BranchConfig:
 
     @cached_property
     def seat_plan(self) -> tuple[SeatPlanEntry, ...]:
-        """One entry per seat of :attr:`slot_order`: (slot, position in the
-        order of the paired original seat or -1 for an original seat,
-        transfer bit of the pair, the seat's ranking)."""
+        """The seats of :attr:`slot_order` that can hold capacity, in that
+        order: every original seat, and each shadow seat whose transfer bit
+        is 1.  An entry is (slot, position in the plan of the paired original
+        seat or -1 for an original seat, the seat's ranking)."""
         position: dict[int, int] = {}
         plan = []
-        for i, slot in enumerate(self.slot_order):
+        for slot in self.slot_order:
             if slot.kind == ORIGINAL:
-                position[slot.index] = i
-                paired = -1
-            else:
+                position[slot.index] = len(plan)
+                plan.append((slot, -1, self.priority(slot)))
+            elif self.transfer[slot.index - 1] == 1:
                 # l_k >= k guarantees the paired original came earlier
-                paired = position[slot.index]
-            plan.append((slot, paired, self.transfer[slot.index - 1], self.priority(slot)))
+                plan.append((slot, position[slot.index], self.priority(slot)))
         return tuple(plan)
 
 
@@ -263,6 +263,11 @@ class Instance:
         return self.with_branch(replace(cfg, transfer=tuple(transfer)))
 
 
+def _is_int(value: Any) -> bool:
+    """An int that is not a bool, as the parser reads integer fields."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _strict_order_violations(label: str, ranking: Sequence[ContractId]) -> list[str]:
     seen: set[ContractId] = set()
     out = []
@@ -277,7 +282,10 @@ def validate_instance(inst: Instance) -> list[str]:
     """Check every structural invariant; returns all violations found, as
     :func:`outcome_violations` does.
 
-    An empty list means the instance is well-formed.  Violations are data,
+    An empty list means the instance is well-formed, and so parses back
+    from :func:`serialize_instance`: every field the parser types (contract
+    fields, preference agents, branch ids, capacities, locations and
+    transfer bits; ranking entries are not checked) has the parser's type.  Violations are data,
     not exceptions: callers decide whether to proceed.
     """
     v: list[str] = []
@@ -285,6 +293,9 @@ def validate_instance(inst: Instance) -> list[str]:
     seen_ids: set[ContractId] = set()
     seen_triples: set[tuple[str, str, str]] = set()
     for c in inst.contracts:
+        for field in ("id", "agent", "branch", "terms"):
+            if not isinstance(getattr(c, field), str):
+                v.append(f"contract {c.id}: {field} must be a string (got {getattr(c, field)!r})")
         if c.id in seen_ids:
             v.append(f"contract {c.id}: duplicate contract id")
         seen_ids.add(c.id)
@@ -301,6 +312,8 @@ def validate_instance(inst: Instance) -> list[str]:
             v.append(f"agent {agent}: owns contracts but has no preference record")
 
     for agent, ranking in inst.preferences.items():
+        if not isinstance(agent, str):
+            v.append(f"preference {agent}: agent must be a string (got {agent!r})")
         v.extend(_strict_order_violations(f"preference {agent}", ranking))
         for cid in ranking:
             c = inst.contract_index.get(cid)
@@ -312,6 +325,11 @@ def validate_instance(inst: Instance) -> list[str]:
     for b, cfg in inst.branches.items():
         if cfg.id != b:
             v.append(f"branch {b}: config id mismatch ({cfg.id})")
+        if not isinstance(cfg.id, str):
+            v.append(f"branch {b}: id must be a string (got {cfg.id!r})")
+        if not _is_int(cfg.n):
+            v.append(f"branch {b}: capacity n must be an integer (got {cfg.n!r})")
+            continue
         if cfg.n < 1:
             v.append(f"branch {b}: capacity n must be positive (n={cfg.n})")
             continue
@@ -324,15 +342,18 @@ def validate_instance(inst: Instance) -> list[str]:
         if len(cfg.shadow_priorities) != cfg.n:
             v.append(f"branch {b}: expected {cfg.n} shadow priority orders")
         for k, l_k in enumerate(cfg.location, start=1):
+            if not _is_int(l_k):
+                v.append(f"branch {b}: location at k={k} must be an integer (got {l_k!r})")
+                continue
             if l_k < k:
                 v.append(f"branch {b}: location lower bound k <= l_k violated at k={k} (l_k={l_k})")
             if l_k > cfg.n:
                 v.append(f"branch {b}: location upper bound l_k <= n violated at k={k} (l_k={l_k})")
-            if k >= 2 and l_k < cfg.location[k - 2]:
+            if k >= 2 and _is_int(cfg.location[k - 2]) and l_k < cfg.location[k - 2]:
                 v.append(f"branch {b}: location vector not nondecreasing at k={k}")
         for k, bit in enumerate(cfg.transfer, start=1):
-            if bit not in (0, 1):
-                v.append(f"branch {b}: transfer bit at k={k} must be 0 or 1 (got {bit})")
+            if not _is_int(bit) or bit not in (0, 1):
+                v.append(f"branch {b}: transfer bit at k={k} must be 0 or 1 (got {bit!r})")
         if len(cfg.original_priorities) != cfg.n or len(cfg.shadow_priorities) != cfg.n:
             continue
         for slot in cfg.slots():
@@ -402,7 +423,7 @@ def _string_list(value: Any, where: str) -> tuple[str, ...]:
 
 
 def _int_list(value: Any, where: str) -> tuple[int, ...]:
-    if not isinstance(value, list) or not all(isinstance(x, int) and not isinstance(x, bool) for x in value):
+    if not isinstance(value, list) or not all(map(_is_int, value)):
         raise ParseError(f"{where}: expected an array of integers")
     return tuple(value)
 
@@ -412,18 +433,19 @@ def _sharing_strings() -> Callable[[list[tuple[str, Any]]], dict]:
     its string values and the strings in its arrays and arrays of arrays
     (the format nests no deeper) are replaced by the first equal string the
     document produced, so every id exists once.  Only ``str`` objects are
-    looked up, so no value changes type."""
+    looked up, so no value changes type.  The recursion is a module function,
+    not a closure, so no reference cycle keeps the memo alive after the hook."""
     memo: dict[str, str] = {}
     share = memo.setdefault
+    return lambda pairs: {share(key, key): _shared(value, share) for key, value in pairs}
 
-    def shared(value: Any, depth: int = 2) -> Any:
-        if type(value) is str:
-            return share(value, value)
-        if type(value) is list and depth:
-            value[:] = [share(x, x) if type(x) is str else shared(x, depth - 1) for x in value]
-        return value
 
-    return lambda pairs: {share(key, key): shared(value) for key, value in pairs}
+def _shared(value: Any, share: Callable[[str, str], str], depth: int = 2) -> Any:
+    if type(value) is str:
+        return share(value, value)
+    if type(value) is list and depth:
+        value[:] = [share(x, x) if type(x) is str else _shared(x, share, depth - 1) for x in value]
+    return value
 
 
 def parse_instance(text: str | bytes) -> Instance:
@@ -478,7 +500,7 @@ def parse_instance(text: str | bytes) -> Instance:
         if not isinstance(bid, str):
             raise ParseError(f"{where}.id: expected a string")
         n = _require(rb, "n", where)
-        if not isinstance(n, int) or isinstance(n, bool):
+        if not _is_int(n):
             raise ParseError(f"{where}.n: expected an integer")
         location = _int_list(_require(rb, "location", where), f"{where}.location")
         transfer = _int_list(_require(rb, "transfer", where), f"{where}.transfer")
@@ -560,4 +582,7 @@ def canonical_json(value: Any) -> str:
             return json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n" + pad)
         return json.dumps(v)
 
-    return write(value, "")
+    try:
+        return write(value, "")
+    finally:
+        del write  # a recursive closure is a reference cycle: free the memo now, not at a full collection

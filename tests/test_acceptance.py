@@ -15,6 +15,7 @@ from sspwct.comparative import (
     MODE_BOTTOM,
     MODE_SINGLE_AGENT,
     PARETO_DOMINATES,
+    STRICTLY_BETTER,
     STRICTLY_WORSE,
     PreconditionUnmet,
     add_contracts,
@@ -259,7 +260,7 @@ def test_criterion_08_transfer_flexibility_and_chain():
         rep = flexibility_compare(inst, b, k)
         if rep.verdict != PARETO_DOMINATES:
             violations.append(rep.to_json())
-        if rep.strict_improvers:
+        if STRICTLY_BETTER in rep.per_agent.values():
             strict += 1
         try:
             chain = improvement_chain(inst, rep, b, k)

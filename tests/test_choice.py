@@ -204,6 +204,17 @@ def test_choice_invariants(market):
     # the ledger holds exactly the chosen contracts, in processing order
     assert sorted(seats.values()) == sorted(result.chosen)
     assert list(seats) == [slot for slot in cfg.slot_order if slot in seats]
+    # the plan: every original seat and each shadow seat whose bit is 1, in
+    # processing order, each shadow pointing at its paired original
+    plan = cfg.seat_plan
+    assert [slot for slot, _, _ in plan] == [
+        slot for slot in cfg.slot_order if slot.kind == ORIGINAL or cfg.transfer[slot.index - 1] == 1]
+    for slot, paired, ranking in plan:
+        assert ranking == cfg.priority(slot)
+        if slot.kind == ORIGINAL:
+            assert paired == -1
+        else:
+            assert plan[paired][0] == cfg.original_slot(slot.index)
 
 
 @settings(max_examples=200, deadline=None)
@@ -238,3 +249,20 @@ def test_rules_choose_from_the_branch_part_of_any_offer_set(market, strangers):
         mixed = rule(cfg, own | strangers, contracts)
         alone = rule(cfg, own, contracts)
         assert (mixed.chosen, mixed.seats) == (alone.chosen, alone.seats)
+
+
+class _CountedSet(set):
+    """A set that counts the membership tests made on it."""
+
+    def __contains__(self, item):
+        self.tests = getattr(self, "tests", 0) + 1
+        return super().__contains__(item)
+
+
+def test_a_set_of_offers_is_read_in_place():
+    # a copy would be a plain frozenset, so no membership test would be counted
+    inst = gate_instance(1)
+    for rule in (sspwct_choose, completion_choose):
+        offers = _CountedSet({"y"})
+        assert rule(inst.branches["b"], offers, inst.contract_index).chosen == {"y"}
+        assert offers.tests == 2  # o1 ranks x, e1 ranks y first

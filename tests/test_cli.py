@@ -9,7 +9,7 @@ import pytest
 import sspwct
 from sspwct import cli, comparative, mechanism
 from sspwct.cli import main
-from sspwct.generator import GeneratorConfig
+from sspwct.generator import GeneratorConfig, generate_instance
 from sspwct.model import parse_instance, serialize_instance, validate_instance
 
 from conftest import branch, make_instance
@@ -423,3 +423,22 @@ def test_python_dash_m_entry_point(tmp_path):
     bad_path.write_text("{")
     code, out, err = sspwct_main("run", str(bad_path))
     assert (code, out) == (2, "") and err.startswith("invalid JSON: ")
+
+
+def test_closed_stdout_exits_1_and_writes_nothing_to_stderr(tmp_path, capsys):
+    # the reader stops after a few bytes of an output larger than the pipe
+    # buffer, as ``| head -c 16`` does; that is neither bad input nor a fault
+    path = tmp_path / "big.json"
+    path.write_text(serialize_instance(generate_instance(GeneratorConfig(seed=7, agents=60, branches=4))))
+    code, out, _ = run_cli(capsys, "run", str(path), "--trace")
+    assert code == 0 and len(out) > 4 * 65536  # far more than a pipe holds
+    src = str(Path(sspwct.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sspwct", "run", str(path), "--trace"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.read(16) == b'{\n  "outcome": ['
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (cli.EXIT_CLOSED_STDOUT, b"")

@@ -65,24 +65,35 @@ def test_large_market_lex_trace_matches_reference():
     assert got.to_json() == ref.trace_to_json(ref.cumulative_offer(inst))
 
 
+#: the forms an offer set may take: the rule reads a set in place and
+#: freezes any other iterable, a one-shot iterator included
+OFFER_FORMS = (set, frozenset, list, lambda offers: iter(sorted(offers)))
+
+
 @pytest.mark.parametrize("rule, completion", [(sspwct_choose, False), (completion_choose, True)])
 def test_choice_rules_match_reference(rule, completion):
     rng = random.Random(3500)
     configs = [GeneratorConfig(seed=3500, agents=12, branches=3, capacity=(1, 4)),
-               GeneratorConfig(seed=3600, agents=6, branches=2, location_policy="adjacent")]
+               GeneratorConfig(seed=3600, agents=6, branches=2, location_policy="adjacent"),
+               GeneratorConfig(seed=3650, agents=8, branches=2, capacity=(2, 4), transfer_density=0.0),
+               GeneratorConfig(seed=3660, agents=8, branches=2, capacity=(2, 4), transfer_density=1.0)]
     calls = 0
+    bits = {}  # transfer density -> the bits its branches have
     for cfg in configs:
         for inst in generate_batch(cfg, 20):
             for b, branch in inst.branches.items():
+                bits.setdefault(cfg.transfer_density, set()).update(branch.transfer)
                 universe = inst.contracts_of_branch[b]
                 for _ in range(8):
                     offers = frozenset(c for c in universe if rng.random() < 0.6)
-                    got = rule(branch, offers, inst.contract_index)
                     want = ref.choose(branch, offers, inst.contract_index, completion)
-                    assert got.chosen == want.chosen
-                    assert list(got.seats.items()) == list(want.seats.items())
-                    calls += 1
-    assert calls > 500
+                    for form in OFFER_FORMS:
+                        got = rule(branch, form(offers), inst.contract_index)
+                        assert got.chosen == want.chosen
+                        assert list(got.seats.items()) == list(want.seats.items())
+                        calls += 1
+    assert calls > 2000
+    assert bits[0.0] == {0} and bits[1.0] == {1}  # every bit 0, and every bit 1
 
 
 def _random_feasible_outcome(inst, rng):

@@ -6,6 +6,7 @@ from sspwct.comparative import (
     MODE_BOTTOM,
     MODE_SINGLE_AGENT,
     PARETO_DOMINATES,
+    STRICTLY_BETTER,
     VIOLATES,
     WEAKLY_IMPROVES_FOR,
     AddedContract,
@@ -68,7 +69,7 @@ class TestFlexibility:
         report = flexibility_compare(inst, "b", 1)
         assert report.baseline == frozenset() and report.modified == {"y"}
         assert report.verdict == PARETO_DOMINATES
-        assert report.strict_improvers == ("B",)
+        assert [a for a, s in report.per_agent.items() if s == STRICTLY_BETTER] == ["B"]
 
     def test_already_flexible_rejected(self):
         inst = make_instance(
@@ -243,7 +244,7 @@ class TestAddOriginalSlot:
         )
         report = add_original_slot(inst, "b", ("xb",))
         assert report.baseline == {"xa"} and report.modified == {"xa", "xb"}
-        assert report.strict_improvers == ("B",)
+        assert [a for a, s in report.per_agent.items() if s == STRICTLY_BETTER] == ["B"]
 
     def test_extension_is_valid_at_every_position(self):
         inst = generate_instance(GeneratorConfig(seed=42, branches=1, capacity=(3, 3)))

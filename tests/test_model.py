@@ -1,18 +1,24 @@
 import dataclasses
+import gc
 import json
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sspwct.model import (
+    BranchConfig,
+    Contract,
     InputError,
+    Instance,
     ParseError,
+    canonical_json,
     outcome_violations,
     parse_instance,
     serialize_instance,
     validate_instance,
 )
-from sspwct.generator import GeneratorConfig, generate_instance
+from sspwct.generator import LOCATION_POLICIES, GeneratorConfig, generate_instance
 
 from conftest import MISSING_SEATS, branch, make_instance, seat_id
 
@@ -166,15 +172,24 @@ def test_generator_output_always_validates():
 
 
 def test_replace_and_transfer_update_build_a_fresh_seat_plan():
+    # the plan holds every original seat and only the shadow seats whose
+    # transfer bit is 1, each with the plan position of its paired original
+    def planned(cfg):
+        return [(str(slot), paired) for slot, paired, _ in cfg.seat_plan]
+
     inst = make_instance([], {}, [branch(n=2, location=(1, 2), transfer=(0, 1))])
     cfg = inst.branches["b"]
-    assert [bit for _, _, bit, _ in cfg.seat_plan] == [0, 0, 1, 1]
+    assert [str(slot) for slot in cfg.slot_order] == ["b:o1", "b:e1", "b:o2", "b:e2"]
+    assert planned(cfg) == [("b:o1", -1), ("b:o2", -1), ("b:e2", 1)]
     flipped = inst.with_transfer_bit("b", 1, 1).branches["b"]
-    assert [bit for _, _, bit, _ in flipped.seat_plan] == [1, 1, 1, 1]
+    assert planned(flipped) == [("b:o1", -1), ("b:e1", 0), ("b:o2", -1), ("b:e2", 2)]
+    closed = inst.with_transfer_bit("b", 2, 0).branches["b"]
+    assert planned(closed) == [("b:o1", -1), ("b:o2", -1)]
     moved = dataclasses.replace(cfg, location=(2, 2))
-    assert [str(slot) for slot, _, _, _ in moved.seat_plan] == ["b:o1", "b:o2", "b:e1", "b:e2"]
-    assert [paired for _, paired, _, _ in moved.seat_plan] == [-1, -1, 0, 1]
-    assert [bit for _, _, bit, _ in cfg.seat_plan] == [0, 0, 1, 1]  # the original is untouched
+    assert planned(moved) == [("b:o1", -1), ("b:o2", -1), ("b:e2", 1)]
+    assert planned(dataclasses.replace(flipped, location=(2, 2))) == [
+        ("b:o1", -1), ("b:o2", -1), ("b:e1", 0), ("b:e2", 1)]
+    assert planned(cfg) == [("b:o1", -1), ("b:o2", -1), ("b:e2", 1)]  # the original is untouched
 
 
 def test_equality_and_hash_ignore_the_cached_seat_plan():
@@ -284,3 +299,70 @@ def test_parse_duplicate_keys_resolve_last_wins():
     assert inst.branches["b"].n == 1
     assert inst.preferences == {"A": ("x",)}
     assert list(inst.branches["b"].original_priorities) == [("x",)]
+
+
+def _one_contract(**fields):
+    contract = Contract(**{"id": "x", "agent": "A", "branch": "b", "terms": "t", **fields})
+    return Instance((contract,), {contract.agent: (contract.id,)}, {"b": branch()})
+
+
+@pytest.mark.parametrize("inst, message", [
+    pytest.param(make_instance([], {}, [branch(transfer=(True,))]),
+                 "branch b: transfer bit at k=1 must be 0 or 1 (got True)", id="transfer-bool"),
+    pytest.param(make_instance([], {}, [branch(n=True)]),
+                 "branch b: capacity n must be an integer (got True)", id="n-bool"),
+    pytest.param(make_instance([], {}, [branch(location=(1.0,))]),
+                 "branch b: location at k=1 must be an integer (got 1.0)", id="location-float"),
+    pytest.param(_one_contract(id=7), "contract 7: id must be a string (got 7)", id="contract-id"),
+    pytest.param(_one_contract(agent=7), "contract x: agent must be a string (got 7)", id="agent"),
+    pytest.param(_one_contract(branch=7), "contract x: branch must be a string (got 7)", id="branch"),
+    pytest.param(_one_contract(terms=7), "contract x: terms must be a string (got 7)", id="terms"),
+    pytest.param(Instance((), {}, {5: branch(bid=5)}), "branch 5: id must be a string (got 5)",
+                 id="branch-id"),
+])
+def test_validation_rejects_what_the_parser_rejects(inst, message):
+    # each value is accepted by the library's constructors, but its
+    # serialized form does not parse back
+    assert message in validate_instance(inst)
+    with pytest.raises(ParseError):
+        parse_instance(serialize_instance(inst))
+
+
+def test_validation_rejects_a_preference_agent_the_parser_would_retype():
+    # JSON object keys are strings, so the agent 7 would come back as "7"
+    inst = Instance((), {7: ()}, {"b": branch()})
+    assert validate_instance(inst) == ["preference 7: agent must be a string (got 7)"]
+    assert parse_instance(serialize_instance(inst)).preferences == {"7": ()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    agents=st.integers(1, 8),
+    branches=st.integers(1, 3),
+    cap_max=st.integers(1, 4),
+    transfer_density=st.sampled_from([0.0, 0.5, 1.0]),
+    location_policy=st.sampled_from(LOCATION_POLICIES),
+)
+def test_generated_instances_validate_and_round_trip(seed, agents, branches, cap_max, transfer_density,
+                                                     location_policy):
+    inst = generate_instance(GeneratorConfig(
+        seed=seed, agents=agents, branches=branches, capacity=(1, cap_max),
+        transfer_density=transfer_density, location_policy=location_policy))
+    assert validate_instance(inst) == []
+    text = serialize_instance(inst)
+    again = parse_instance(text)
+    assert again == inst and serialize_instance(again) == text
+
+
+def test_writer_and_parser_leave_no_reference_cycles():
+    # garbage in a cycle waits for a full collection, so a memo kept by one
+    # would stay in memory after the call that built it
+    text = serialize_instance(generate_instance(GeneratorConfig(seed=5)))
+    gc.collect()
+    gc.disable()
+    try:
+        assert parse_instance(text) and canonical_json({"steps": [["x", "y"], ["x"]]})
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
