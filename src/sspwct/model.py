@@ -283,19 +283,21 @@ def validate_instance(inst: Instance) -> list[str]:
     :func:`outcome_violations` does.
 
     An empty list means the instance is well-formed, and so parses back
-    from :func:`serialize_instance`: every field the parser types (contract
-    fields, preference agents, branch ids, capacities, locations and
-    transfer bits; ranking entries are not checked) has the parser's type.  Violations are data,
-    not exceptions: callers decide whether to proceed.
+    from :func:`serialize_instance`: every field the parser types (the
+    contract fields of :data:`CONTRACT_FORMAT`, preference agents, branch
+    ids, capacities, locations and transfer bits; ranking entries are not
+    checked) has the parser's type.  Violations are data, not exceptions:
+    callers decide whether to proceed.
     """
     v: list[str] = []
 
     seen_ids: set[ContractId] = set()
     seen_triples: set[tuple[str, str, str]] = set()
     for c in inst.contracts:
-        for field in ("id", "agent", "branch", "terms"):
-            if not isinstance(getattr(c, field), str):
-                v.append(f"contract {c.id}: {field} must be a string (got {getattr(c, field)!r})")
+        for field, kind in CONTRACT_FORMAT.items():
+            value = getattr(c, field)
+            if not isinstance(value, kind):
+                v.append(f"contract {c.id}: {field} must be {_EXPECTED[kind]} (got {value!r})")
         if c.id in seen_ids:
             v.append(f"contract {c.id}: duplicate contract id")
         seen_ids.add(c.id)
@@ -397,35 +399,53 @@ def outcome_violations(inst: Instance, assignment: Iterable[ContractId]) -> list
 # -- JSON --
 
 
-def _require(obj: Mapping[str, Any], key: str, where: str) -> Any:
-    if not isinstance(obj, Mapping):
+#: The instance format, one table per record: each field and its kind.  A
+#: kind is ``str``, ``int`` (never a bool), ``(k,)`` for an array of kind k,
+#: or, at the top level, ``list`` or ``dict`` for an array or object whose
+#: items are read on their own.  :func:`parse_instance` reads with these
+#: tables, :func:`instance_to_dict` writes from them, and
+#: :func:`validate_instance` checks contract fields against CONTRACT_FORMAT.
+INSTANCE_FORMAT = {"contracts": list, "preferences": dict, "branches": list}
+CONTRACT_FORMAT = {"id": str, "agent": str, "branch": str, "terms": str}
+BRANCH_FORMAT = {"id": str, "n": int, "location": (int,), "transfer": (int,),
+                 "original_priorities": ((str,),), "shadow_priorities": ((str,),)}
+#: Each agent's entry in ``preferences``.
+RANKING = (str,)
+#: Fields a record may omit; ``Contract.terms`` defaults to "".
+_OPTIONAL = frozenset({"terms"})
+_EXPECTED = {str: "a string", int: "an integer", list: "an array", dict: "an object",
+             (int,): "an array of integers", (str,): "an array of strings",
+             ((str,),): "an array of arrays of strings"}
+
+
+def _read(value: Any, kind: Any, where: str) -> Any:
+    """``value`` checked against ``kind``, an array of a kind as a tuple.  An
+    array of arrays names its first bad row by index."""
+    if type(value) is kind:  # JSON makes no subclasses, and a bool is not an int
+        return value
+    if type(kind) is tuple and type(value) is list:
+        item = kind[0]
+        if type(item) is tuple:
+            return tuple([_read(row, item, f"{where}[{k}]") for k, row in enumerate(value)])
+        if all(type(x) is item for x in value):
+            return tuple(value)
+    raise ParseError(f"{where}: expected {_EXPECTED[kind]}")
+
+
+def _record(obj: Any, fields: dict[str, Any], where: str, at: str) -> dict[str, Any]:
+    """``obj`` read as a record of ``fields``: an object holding every field
+    not in ``_OPTIONAL``, each of its kind, and no other field.  ``where``
+    names the record and ``at + field`` each of its fields."""
+    if type(obj) is not dict:
         raise ParseError(f"{where}: expected an object")
-    if key not in obj:
-        raise ParseError(f"{where}: missing required field '{key}'")
-    return obj[key]
-
-
-_TOP_FIELDS = frozenset({"contracts", "preferences", "branches"})
-_CONTRACT_FIELDS = frozenset({"id", "agent", "branch", "terms"})
-_BRANCH_FIELDS = frozenset({"id", "n", "location", "transfer", "original_priorities", "shadow_priorities"})
-
-
-def _reject_unknown(obj: Mapping[str, Any], fields: frozenset, where: str) -> None:
-    if not obj.keys() <= fields:
+    for field in fields:
+        if field not in obj and field not in _OPTIONAL:
+            raise ParseError(f"{where}: missing required field '{field}'")
+    record = {field: _read(obj[field], kind, at + field) for field, kind in fields.items() if field in obj}
+    if len(record) < len(obj):
         unknown = next(key for key in obj if key not in fields)
         raise ParseError(f"{where}: unknown field {unknown!r}")
-
-
-def _string_list(value: Any, where: str) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
-        raise ParseError(f"{where}: expected an array of strings")
-    return tuple(value)
-
-
-def _int_list(value: Any, where: str) -> tuple[int, ...]:
-    if not isinstance(value, list) or not all(map(_is_int, value)):
-        raise ParseError(f"{where}: expected an array of integers")
-    return tuple(value)
+    return record
 
 
 def _sharing_strings() -> Callable[[list[tuple[str, Any]]], dict]:
@@ -464,84 +484,34 @@ def parse_instance(text: str | bytes) -> Instance:
         raise ParseError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ParseError("invalid JSON: arrays or objects nested too deeply") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("top level: expected an object")
-
-    raw_contracts = _require(doc, "contracts", "top level")
-    if not isinstance(raw_contracts, list):
-        raise ParseError("contracts: expected an array")
-    contracts = []
-    for i, rc in enumerate(raw_contracts):
-        where = f"contracts[{i}]"
-        cid = _require(rc, "id", where)
-        agent = _require(rc, "agent", where)
-        branch = _require(rc, "branch", where)
-        terms = rc.get("terms", "")
-        if not all(isinstance(x, str) for x in (cid, agent, branch, terms)):
-            raise ParseError(f"{where}: id, agent, branch, terms must be strings")
-        _reject_unknown(rc, _CONTRACT_FIELDS, where)
-        contracts.append(Contract(cid, agent, branch, terms))
-
-    raw_prefs = _require(doc, "preferences", "top level")
-    if not isinstance(raw_prefs, dict):
-        raise ParseError("preferences: expected an object")
+    top = _record(doc, INSTANCE_FORMAT, "top level", "")
+    contracts = [
+        Contract(**_record(rc, CONTRACT_FORMAT, f"contracts[{i}]", f"contracts[{i}]."))
+        for i, rc in enumerate(top["contracts"])
+    ]
     preferences = {
-        agent: _string_list(ranking, f"preferences[{agent}]")
-        for agent, ranking in raw_prefs.items()
+        agent: _read(ranking, RANKING, f"preferences[{agent}]")
+        for agent, ranking in top["preferences"].items()
     }
-
-    raw_branches = _require(doc, "branches", "top level")
-    if not isinstance(raw_branches, list):
-        raise ParseError("branches: expected an array")
     branches: dict[BranchId, BranchConfig] = {}
-    for i, rb in enumerate(raw_branches):
+    for i, rb in enumerate(top["branches"]):
         where = f"branches[{i}]"
-        bid = _require(rb, "id", where)
-        if not isinstance(bid, str):
-            raise ParseError(f"{where}.id: expected a string")
-        n = _require(rb, "n", where)
-        if not _is_int(n):
-            raise ParseError(f"{where}.n: expected an integer")
-        location = _int_list(_require(rb, "location", where), f"{where}.location")
-        transfer = _int_list(_require(rb, "transfer", where), f"{where}.transfer")
-        orig = _require(rb, "original_priorities", where)
-        shad = _require(rb, "shadow_priorities", where)
-        if not isinstance(orig, list) or not isinstance(shad, list):
-            raise ParseError(f"{where}: priority fields must be arrays of arrays")
-        original_priorities = tuple(
-            _string_list(row, f"{where}.original_priorities[{k}]") for k, row in enumerate(orig)
-        )
-        shadow_priorities = tuple(
-            _string_list(row, f"{where}.shadow_priorities[{k}]") for k, row in enumerate(shad)
-        )
-        if bid in branches:
-            raise ParseError(f"{where}: duplicate branch id {bid}")
-        _reject_unknown(rb, _BRANCH_FIELDS, where)
-        branches[bid] = BranchConfig(
-            bid, n, location, transfer, original_priorities, shadow_priorities
-        )
-
-    _reject_unknown(doc, _TOP_FIELDS, "top level")
+        cfg = BranchConfig(**_record(rb, BRANCH_FORMAT, where, where + "."))
+        if cfg.id in branches:
+            raise ParseError(f"{where}: duplicate branch id {cfg.id}")
+        branches[cfg.id] = cfg
     return Instance(tuple(contracts), preferences, branches)
 
 
 def instance_to_dict(inst: Instance) -> dict[str, Any]:
+    """The JSON document of ``inst``: each contract and branch record holds
+    the fields of its format table, and arrays are the instance's own tuples,
+    which :func:`canonical_json` writes as lists."""
     return {
-        "contracts": [
-            {"id": c.id, "agent": c.agent, "branch": c.branch, "terms": c.terms}
-            for c in inst.contracts
-        ],
-        "preferences": {a: list(r) for a, r in inst.preferences.items()},
+        "contracts": [{field: getattr(c, field) for field in CONTRACT_FORMAT} for c in inst.contracts],
+        "preferences": dict(inst.preferences),
         "branches": [
-            {
-                "id": cfg.id,
-                "n": cfg.n,
-                "location": list(cfg.location),
-                "transfer": list(cfg.transfer),
-                "original_priorities": [list(row) for row in cfg.original_priorities],
-                "shadow_priorities": [list(row) for row in cfg.shadow_priorities],
-            }
-            for cfg in inst.branches.values()
+            {field: getattr(cfg, field) for field in BRANCH_FORMAT} for cfg in inst.branches.values()
         ],
     }
 
