@@ -9,6 +9,7 @@ requested check comes back with a fail verdict.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -251,7 +252,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on first use and then shared: its
+    actions and groups refer to each other, so a parser per call would
+    leave a cycle of garbage behind every call."""
     parser = argparse.ArgumentParser(
         prog="sspwct",
         description="Slot-specific priorities with capacity transfers: mechanism, oracles, experiments.",

@@ -7,6 +7,14 @@ and branch lists, two-space indent), which makes serialize -> parse ->
 serialize byte-identical.  :func:`canonical_json` is the one canonical
 writer: instance files and every CLI document are its text.
 
+The instance format is stated once, as one table per record that maps each
+field to its kind: :data:`CONTRACT_FORMAT`, :data:`BRANCH_FORMAT`,
+:data:`INSTANCE_FORMAT` for the top level and :data:`RANKING` for each
+agent's preference list.  :func:`parse_instance` reads every record with
+them, :func:`instance_to_dict` builds every contract and branch record from
+the first two, and :func:`validate_instance` checks contract fields against
+:data:`CONTRACT_FORMAT`.
+
 Rankings encode unacceptability implicitly: a contract is acceptable to an
 agent (or to a slot) iff it appears in the ranking.  The outside option sits
 at the end of every list.
@@ -287,20 +295,27 @@ def validate_instance(inst: Instance) -> list[str]:
     contract fields of :data:`CONTRACT_FORMAT`, preference agents, branch
     ids, capacities, locations and transfer bits; ranking entries are not
     checked) has the parser's type.  Violations are data, not exceptions:
-    callers decide whether to proceed.
+    callers decide whether to proceed, and no instance makes this raise.
     """
     v: list[str] = []
 
-    seen_ids: set[ContractId] = set()
+    # a contract with a field of the wrong kind gets only its kind
+    # violations: it may not hash or sort, so the checks below skip it
+    index: dict[ContractId, Contract] = {}
+    owners: set[AgentId] = set()
     seen_triples: set[tuple[str, str, str]] = set()
     for c in inst.contracts:
+        found = len(v)
         for field, kind in CONTRACT_FORMAT.items():
             value = getattr(c, field)
             if not isinstance(value, kind):
                 v.append(f"contract {c.id}: {field} must be {_EXPECTED[kind]} (got {value!r})")
-        if c.id in seen_ids:
+        if len(v) > found:
+            continue
+        if c.id in index:
             v.append(f"contract {c.id}: duplicate contract id")
-        seen_ids.add(c.id)
+        index[c.id] = c
+        owners.add(c.agent)
         triple = (c.agent, c.branch, c.terms)
         if triple in seen_triples:
             v.append(f"contract {c.id}: duplicate (agent, branch, terms) triple {triple}")
@@ -308,7 +323,6 @@ def validate_instance(inst: Instance) -> list[str]:
         if c.branch not in inst.branches:
             v.append(f"contract {c.id}: unknown branch {c.branch}")
 
-    owners = {c.agent for c in inst.contracts}
     for agent in sorted(owners):
         if agent not in inst.preferences:
             v.append(f"agent {agent}: owns contracts but has no preference record")
@@ -318,7 +332,7 @@ def validate_instance(inst: Instance) -> list[str]:
             v.append(f"preference {agent}: agent must be a string (got {agent!r})")
         v.extend(_strict_order_violations(f"preference {agent}", ranking))
         for cid in ranking:
-            c = inst.contract_index.get(cid)
+            c = index.get(cid)
             if c is None:
                 v.append(f"preference {agent}: unknown contract {cid}")
             elif c.agent != agent:
@@ -362,7 +376,7 @@ def validate_instance(inst: Instance) -> list[str]:
             ranking = cfg.priority(slot)
             v.extend(_strict_order_violations(f"slot {slot}", ranking))
             for cid in ranking:
-                c = inst.contract_index.get(cid)
+                c = index.get(cid)
                 if c is None:
                     v.append(f"slot {slot}: unknown contract {cid}")
                 elif c.branch != b:
@@ -402,9 +416,7 @@ def outcome_violations(inst: Instance, assignment: Iterable[ContractId]) -> list
 #: The instance format, one table per record: each field and its kind.  A
 #: kind is ``str``, ``int`` (never a bool), ``(k,)`` for an array of kind k,
 #: or, at the top level, ``list`` or ``dict`` for an array or object whose
-#: items are read on their own.  :func:`parse_instance` reads with these
-#: tables, :func:`instance_to_dict` writes from them, and
-#: :func:`validate_instance` checks contract fields against CONTRACT_FORMAT.
+#: items are read on their own.
 INSTANCE_FORMAT = {"contracts": list, "preferences": dict, "branches": list}
 CONTRACT_FORMAT = {"id": str, "agent": str, "branch": str, "terms": str}
 BRANCH_FORMAT = {"id": str, "n": int, "location": (int,), "transfer": (int,),
@@ -469,7 +481,9 @@ def _shared(value: Any, share: Callable[[str, str], str], depth: int = 2) -> Any
 
 
 def parse_instance(text: str | bytes) -> Instance:
-    """Parse the canonical JSON instance format.
+    """Parse the canonical JSON instance format, reading each record with
+    its format table (:data:`INSTANCE_FORMAT`, :data:`CONTRACT_FORMAT`,
+    :data:`BRANCH_FORMAT`, and :data:`RANKING` for each preference).
 
     Structural problems, unknown fields included, raise :class:`ParseError`
     naming the field; semantic invariants are left to :func:`validate_instance`.

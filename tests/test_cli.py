@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -442,3 +443,19 @@ def test_closed_stdout_exits_1_and_writes_nothing_to_stderr(tmp_path, capsys):
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=60), err) == (cli.EXIT_CLOSED_STDOUT, b"")
+
+
+def test_calls_after_the_first_leave_no_garbage(tmp_path, capsys):
+    # garbage in a reference cycle waits for a full collection; one parser
+    # per process leaves none behind a call once the first call built it
+    path = tmp_path / "m.json"
+    assert run_cli(capsys, "gen", "--seed", "7", "--out", str(path))[0] == 0
+    assert cli.build_parser() is cli.build_parser()
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in (["gen", "--seed", "7"], ["run", str(path)]):
+            assert run_cli(capsys, *argv)[0] == 0
+            assert gc.collect() == 0, argv
+    finally:
+        gc.enable()

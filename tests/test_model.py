@@ -335,6 +335,23 @@ def test_validation_rejects_a_preference_agent_the_parser_would_retype():
     assert parse_instance(serialize_instance(inst)).preferences == {"7": ()}
 
 
+def test_validation_reports_an_unhashable_contract_field():
+    # the duplicate-triple check hashes (agent, branch, terms)
+    inst = Instance((Contract("x", "A", "b", ["t"]),), {"A": ("x",)}, {"b": branch()})
+    assert validate_instance(inst) == [
+        "contract x: terms must be a string (got ['t'])",
+        "preference A: unknown contract x",
+    ]
+
+
+def test_validation_reports_an_int_agent_beside_string_agents():
+    # the owners check sorts the agents, and 5 does not sort with "a"
+    inst = Instance(
+        (Contract("x", 5, "b"), Contract("y", "a", "b")), {"a": ("y",)}, {"b": branch()}
+    )
+    assert validate_instance(inst) == ["contract x: agent must be a string (got 5)"]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
