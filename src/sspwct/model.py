@@ -295,7 +295,8 @@ def validate_instance(inst: Instance) -> list[str]:
     contract fields of :data:`CONTRACT_FORMAT`, preference agents, branch
     ids, capacities, locations and transfer bits; ranking entries are not
     checked) has the parser's type.  Violations are data, not exceptions:
-    callers decide whether to proceed, and no instance makes this raise.
+    callers decide whether to proceed, and a contract field of the wrong
+    kind is a violation, never a ``TypeError``.
     """
     v: list[str] = []
 
