@@ -18,6 +18,17 @@ Two rules walk the plan and differ only in what a pick excludes later:
   satisfies the irrelevance of rejected contracts, and the law of aggregate
   demand (see the oracles module for executable checks).
 
+The walk stops early: when a seat stays vacant and there are as many
+exclusions as offers, no later seat can pick, and the remaining picks are
+``None``.  For the completion every offer is then excluded.  For the
+sspwct rule every offered agent is then seated, since each excluded agent
+owns at least one offer; so its walk runs on while an agent has several
+offers, as it does when an offer is unknown or another branch's (no seat
+ranks it, so it is never excluded).  Counting the distinct offered agents
+instead stopped no further walk in cumulative offer runs on generated
+markets of 200 to 2,000 agents, and cost more than it saved on the small
+offer sets of the oracles.
+
 Both rules take any offer set Y and choose from its part at the branch,
 C_b(Y) = C_b(Y ∩ X_b): a seat picks only from its ranking, and a validated
 ranking lists only the branch's own contracts.  A set of offers is read in
@@ -85,6 +96,10 @@ def _choose(
                         excluded.add(key)
                         pick = cid
                         break
+            else:  # the seat stays vacant
+                if len(excluded) == len(offers):  # no later seat can pick
+                    picks += [None] * (len(plan) - len(picks))
+                    break
         picks.append(pick)
 
     return ChoiceResult(frozenset(pick for pick in picks if pick is not None), plan, picks)

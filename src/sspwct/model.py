@@ -175,6 +175,15 @@ class BranchConfig:
         return tuple(plan)
 
 
+def _sorted(items: Iterable[Any], field: str, what: str, key: Callable[[Any], Any] | None = None) -> list:
+    """``sorted(items)``; ids that do not sort together, such as an int among
+    strings, raise :class:`InputError` naming ``field``, not ``TypeError``."""
+    try:
+        return sorted(items, key=key)
+    except TypeError as err:
+        raise InputError(f"{field}: {what} must all be strings ({err})") from None
+
+
 @dataclass(frozen=True)
 class Instance:
     """A complete market: contracts, agent preferences, branch configurations.
@@ -188,17 +197,12 @@ class Instance:
     branches: Mapping[BranchId, BranchConfig]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "contracts", tuple(sorted(self.contracts, key=lambda c: c.id))
-        )
-        object.__setattr__(
-            self,
-            "preferences",
-            {agent: tuple(r) for agent, r in sorted(self.preferences.items())},
-        )
-        object.__setattr__(
-            self, "branches", {b: cfg for b, cfg in sorted(self.branches.items())}
-        )
+        contracts = _sorted(self.contracts, "contracts", "contract ids", key=lambda c: c.id)
+        preferences = _sorted(self.preferences.items(), "preferences", "agents")
+        branches = _sorted(self.branches.items(), "branches", "branch ids")
+        object.__setattr__(self, "contracts", tuple(contracts))
+        object.__setattr__(self, "preferences", {agent: tuple(r) for agent, r in preferences})
+        object.__setattr__(self, "branches", dict(branches))
 
     # -- derived lookups (cached; instances are immutable) --
 
@@ -286,6 +290,14 @@ def _strict_order_violations(label: str, ranking: Sequence[ContractId]) -> list[
     return out
 
 
+def _entry_violations(label: str, ranking: Sequence[ContractId]) -> list[str]:
+    """One violation per ranking entry that is not a string.  Called only
+    once a ranking's checks raised ``TypeError`` on an entry that does not
+    hash, so a valid ranking pays no per-entry type test."""
+    return [f"{label}: ranking entry {cid!r} must be a contract id (a string)"
+            for cid in ranking if not isinstance(cid, str)]
+
+
 def validate_instance(inst: Instance) -> list[str]:
     """Check every structural invariant; returns all violations found, as
     :func:`outcome_violations` does.
@@ -296,7 +308,8 @@ def validate_instance(inst: Instance) -> list[str]:
     ids, capacities, locations and transfer bits; ranking entries are not
     checked) has the parser's type.  Violations are data, not exceptions:
     callers decide whether to proceed, and a contract field of the wrong
-    kind is a violation, never a ``TypeError``.
+    kind, or a ranking entry that does not hash, is a violation, never a
+    ``TypeError``.
     """
     v: list[str] = []
 
@@ -331,13 +344,16 @@ def validate_instance(inst: Instance) -> list[str]:
     for agent, ranking in inst.preferences.items():
         if not isinstance(agent, str):
             v.append(f"preference {agent}: agent must be a string (got {agent!r})")
-        v.extend(_strict_order_violations(f"preference {agent}", ranking))
-        for cid in ranking:
-            c = index.get(cid)
-            if c is None:
-                v.append(f"preference {agent}: unknown contract {cid}")
-            elif c.agent != agent:
-                v.append(f"preference {agent}: contract {cid} belongs to {c.agent}")
+        try:
+            v.extend(_strict_order_violations(f"preference {agent}", ranking))
+            for cid in ranking:
+                c = index.get(cid)
+                if c is None:
+                    v.append(f"preference {agent}: unknown contract {cid}")
+                elif c.agent != agent:
+                    v.append(f"preference {agent}: contract {cid} belongs to {c.agent}")
+        except TypeError:  # the strict-order check hashes every entry first
+            v.extend(_entry_violations(f"preference {agent}", ranking))
 
     for b, cfg in inst.branches.items():
         if cfg.id != b:
@@ -375,13 +391,16 @@ def validate_instance(inst: Instance) -> list[str]:
             continue
         for slot in cfg.slots():
             ranking = cfg.priority(slot)
-            v.extend(_strict_order_violations(f"slot {slot}", ranking))
-            for cid in ranking:
-                c = index.get(cid)
-                if c is None:
-                    v.append(f"slot {slot}: unknown contract {cid}")
-                elif c.branch != b:
-                    v.append(f"slot {slot}: contract {cid} belongs to branch {c.branch}")
+            try:
+                v.extend(_strict_order_violations(f"slot {slot}", ranking))
+                for cid in ranking:
+                    c = index.get(cid)
+                    if c is None:
+                        v.append(f"slot {slot}: unknown contract {cid}")
+                    elif c.branch != b:
+                        v.append(f"slot {slot}: contract {cid} belongs to branch {c.branch}")
+            except TypeError:
+                v.extend(_entry_violations(f"slot {slot}", ranking))
 
     return v
 

@@ -1,8 +1,8 @@
 """Reference implementations kept only for differential tests.
 
 These are the straightforward versions the library's fast paths replaced:
-the seat merge rebuilt on every choice call, the choice rule walking it with
-dict bookkeeping (and refusing offers its branch does not own), a cumulative offer process that rescans every agent each
+the seat merge rebuilt on every choice call, the choice rule walking all of it
+with dict bookkeeping (and refusing offers its branch does not own), a cumulative offer process that rescans every agent each
 round and copies every branch's pool into every step, a blocking search
 that rescans the outcome for every agent of every candidate set, and the
 seat ledger and holder lookups that chose again from the final pools and

@@ -35,3 +35,13 @@ MISSING_SEATS = [
 
 def seat_id(slot: SlotId) -> str:
     return f"{slot.branch}-{slot.kind}-{slot.index}"
+
+
+class CountedSet(set):
+    """A set that counts the membership tests made on it."""
+
+    tests = 0
+
+    def __contains__(self, item):
+        self.tests += 1
+        return super().__contains__(item)

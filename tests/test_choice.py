@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 from sspwct.choice import completion_choose, sspwct_choose
 from sspwct.model import ORIGINAL, Contract, Instance
 
-from conftest import branch, make_instance
+from conftest import CountedSet, branch, make_instance
 
 
 def seq_names(cfg):
@@ -251,18 +251,34 @@ def test_rules_choose_from_the_branch_part_of_any_offer_set(market, strangers):
         assert (mixed.chosen, mixed.seats) == (alone.chosen, alone.seats)
 
 
-class _CountedSet(set):
-    """A set that counts the membership tests made on it."""
-
-    def __contains__(self, item):
-        self.tests = getattr(self, "tests", 0) + 1
-        return super().__contains__(item)
-
-
 def test_a_set_of_offers_is_read_in_place():
     # a copy would be a plain frozenset, so no membership test would be counted
     inst = gate_instance(1)
     for rule in (sspwct_choose, completion_choose):
-        offers = _CountedSet({"y"})
+        offers = CountedSet({"y"})
         assert rule(inst.branches["b"], offers, inst.contract_index).chosen == {"y"}
         assert offers.tests == 2  # o1 ranks x, e1 ranks y first
+
+
+def test_the_walk_stops_once_every_offered_agent_is_seated():
+    # o1 seats A, the only offered agent.  With one offer, either rule scans
+    # o2's whole ranking, finds it vacant and stops: e2, o3 and e3 are never
+    # scanned.  With A's two offers the completion takes x2 at o2 and stops
+    # at o3, the first vacant seat; the sspwct rule, which excludes A once
+    # for both, walks to the end of the plan.  A full walk makes 13 tests
+    # for one offer and 9 for the completion's two.
+    inst = make_instance(
+        [("x", "A", "b"), ("x2", "A", "b"), ("y", "B", "b")],
+        {"A": ("x", "x2"), "B": ("y",)},
+        [branch(n=3, transfer=(1, 1, 1), original=[("x", "x2", "y")] * 3, shadow=[("x", "x2", "y")] * 3)],
+    )
+    cfg = inst.branches["b"]
+    for rule, offered, tests, seats in ((sspwct_choose, {"x"}, 4, {"o1": "x"}),
+                                        (completion_choose, {"x"}, 4, {"o1": "x"}),
+                                        (completion_choose, {"x", "x2"}, 6, {"o1": "x", "o2": "x2"}),
+                                        (sspwct_choose, {"x", "x2"}, 13, {"o1": "x"})):
+        offers = CountedSet(offered)
+        result = rule(cfg, offers, inst.contract_index)
+        assert {f"o{slot.index}": cid for slot, cid in result.seats.items()} == seats
+        assert len(result._picks) == len(cfg.seat_plan)
+        assert offers.tests == tests, (rule.__name__, offered)

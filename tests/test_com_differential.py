@@ -1,5 +1,6 @@
 """Differential tests: the incremental cumulative offer process, the
-planned choice rules, the filtered blocking search, and the seat ledger and
+planned choice rules (which stop walking once no later seat can pick),
+the filtered blocking search, and the seat ledger and
 holder map read off a COM run, against the straightforward implementations
 they replaced (kept in ``com_reference``).  Traces must match exactly, step
 by step and pool by pool, for the deterministic and the seeded random
@@ -11,6 +12,7 @@ import random
 import pytest
 
 import com_reference as ref
+from conftest import CountedSet
 from sspwct.choice import completion_choose, sspwct_choose
 from sspwct.generator import GeneratorConfig, generate_batch, generate_instance
 from sspwct.mechanism import cumulative_offer, find_blocking_set, holdings
@@ -132,3 +134,52 @@ def test_blocking_search_matches_reference():
     assert checked >= 2000
     assert 3 * blocked >= checked and checked - blocked >= 200
     assert unacceptable >= 200
+
+
+def _full_walk_tests(cfg, seats):
+    """The membership tests a walk to the end of the plan makes: an active
+    seat scans up to its pick, a vacant one its whole ranking."""
+    tests = 0
+    for slot, paired, ranking in cfg.seat_plan:
+        if paired < 0 or cfg.seat_plan[paired][0] not in seats:
+            pick = seats.get(slot)
+            tests += ranking.index(pick) + 1 if pick is not None else len(ranking)
+    return tests
+
+
+@pytest.mark.parametrize("rule, completion", [(sspwct_choose, False), (completion_choose, True)])
+def test_choice_rules_stop_walking_without_changing_the_choice(rule, completion):
+    # offer sets smaller than the plan, agents with two or three contracts at
+    # one branch (whose offers keep the sspwct walk going), and markets with
+    # every bit 0 and every bit 1
+    rng = random.Random(3900)
+    configs = [GeneratorConfig(seed=3900, agents=6, branches=2, capacity=(3, 5), contracts_per_pair=(2, 3)),
+               GeneratorConfig(seed=3910, agents=10, branches=2, capacity=(2, 6), transfer_density=0.0),
+               GeneratorConfig(seed=3920, agents=10, branches=2, capacity=(2, 6), transfer_density=1.0)]
+    calls = stopped = shared = 0
+    bits = {}  # transfer density -> the bits its branches have
+    for cfg in configs:
+        for inst in generate_batch(cfg, 20):
+            for b, branch in inst.branches.items():
+                bits.setdefault(cfg.transfer_density, set()).update(branch.transfer)
+                universe = inst.contracts_of_branch[b]
+                owners = [inst.contract_index[c].agent for c in universe]
+                shared += len(set(owners)) < len(owners)
+                for _ in range(6):
+                    size = rng.randrange(min(len(branch.seat_plan), len(universe) + 1))
+                    offers = CountedSet(rng.sample(universe, size))
+                    want = ref.choose(branch, offers, inst.contract_index, completion)
+                    got = rule(branch, offers, inst.contract_index)
+                    assert got.chosen == want.chosen
+                    assert list(got.seats.items()) == list(want.seats.items())
+                    assert len(got._picks) == len(branch.seat_plan)
+                    full = _full_walk_tests(branch, want.seats)
+                    assert offers.tests <= full
+                    calls += 1
+                    stopped += offers.tests < full
+    assert calls > 600
+    assert bits[0.0] == {0} and bits[1.0] == {1}  # every bit 0, and every bit 1
+    assert shared >= 20  # branches where an agent has several contracts
+    # the stop cut the walk short on at least half of the calls (374 and 401
+    # of 720); a walk to the end of the plan cuts none
+    assert 2 * stopped >= calls, (stopped, calls)

@@ -352,6 +352,37 @@ def test_validation_reports_an_int_agent_beside_string_agents():
     assert validate_instance(inst) == ["contract x: agent must be a string (got 5)"]
 
 
+def test_validation_reports_an_unhashable_ranking_entry():
+    # the strict-order check hashes every entry; the ranking's entries are
+    # then checked only for their type, and other rankings as usual
+    inst = Instance(
+        (Contract("x", "A", "b"),),
+        {"A": (["x"], "x", {"y": 1})},
+        {"b": branch(original=[("x", ["y"], 7, "z")], shadow=[("x", 7)])},
+    )
+    assert validate_instance(inst) == [
+        "preference A: ranking entry ['x'] must be a contract id (a string)",
+        "preference A: ranking entry {'y': 1} must be a contract id (a string)",
+        "slot b:o1: ranking entry ['y'] must be a contract id (a string)",
+        "slot b:o1: ranking entry 7 must be a contract id (a string)",
+        "slot b:e1: unknown contract 7",
+    ]
+    assert validate_instance(Instance((), {"A": (["x"],)}, {})) == [
+        "preference A: ranking entry ['x'] must be a contract id (a string)"
+    ]
+
+
+@pytest.mark.parametrize("args, message", [
+    (((), {"A": ("x",), 3: ()}, {}), "preferences: agents must all be strings"),
+    (((Contract("x", "A", "b"), Contract(5, "A", "b", "u")), {}, {}),
+     "contracts: contract ids must all be strings"),
+    (((), {}, {"b": branch(), 2: branch(bid=2)}), "branches: branch ids must all be strings"),
+])
+def test_ids_that_do_not_sort_together_raise_an_input_error(args, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        Instance(*args)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
