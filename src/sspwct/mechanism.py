@@ -25,12 +25,28 @@ branch, COM keeps only its latest choice, whose chosen set is the old side
 of the next diff; the final choices' union is the outcome, and their merged
 ledgers are the trace's seat ledger.
 
+A run in progress is a :class:`ComState`; :func:`cumulative_offer` builds
+one, runs it to the end and wraps it in a :class:`ComTrace`.
+``run(stop=agent)`` pauses a ``lex`` run once no eligible agent other than
+``agent`` sorts before it, and ``fork(agent, ranking)`` copies the state
+and gives an agent who has proposed nothing a new ranking.  A fork at the
+pause runs exactly the steps a full run on the market with that ranking
+takes, for any deterministic choice rule: every step before the pause is
+proposed by an agent who sorts before ``agent``, a step reads only its
+proposer's ranking, and whether ``agent`` is eligible cannot change the
+list's first element while an agent before her is.  So the prefix is the
+same whatever she reports, and the strategy-proofness oracle replays only
+what follows it.  (A fork that first runs every other agent to quiescence
+would rest on order independence instead, which a faulty choice rule need
+not have, and a check through it can miss such a rule's violations.)
+
 Stability is verified by brute force on one path, :func:`stability_report`:
 feasibility, individual rationality and an exhaustive search over candidate
 blocking sets, feasible per branch.
 """
 from __future__ import annotations
 
+import copy
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -128,6 +144,97 @@ def branch_choice(inst: Instance, branch: BranchId, pool: Iterable[ContractId]) 
     return sspwct_choose(inst.branches[branch], pool, inst.contract_index)
 
 
+def _relist(eligible: list[AgentId], agent: AgentId, can_propose: bool) -> None:
+    """Keep ``agent`` in the sorted ``eligible`` list exactly when she can
+    propose: she holds nothing and has a contract left."""
+    i = bisect_left(eligible, agent)
+    listed = i < len(eligible) and eligible[i] == agent
+    if can_propose != listed:
+        if listed:
+            del eligible[i]
+        else:
+            eligible.insert(i, agent)
+
+
+class ComState:
+    """A cumulative offer run in progress: the branches' pools and latest
+    choices, each agent's proposal and held counts, the eligible agents
+    (sorted), the move log, and the ranking each agent proposes by."""
+
+    def __init__(self, inst: Instance, policy: str = POLICY_LEX, seed: int = 0) -> None:
+        if policy not in (POLICY_LEX, POLICY_RANDOM):
+            raise InputError(f"unknown proposal policy {policy!r}")
+        self.inst = inst
+        self.rng = random.Random(seed) if policy == POLICY_RANDOM else None
+        self.preferences = inst.preferences
+        self.pools: dict[BranchId, set[ContractId]] = {}
+        self.choices: dict[BranchId, ChoiceResult] = {}
+        self.proposed = dict.fromkeys(inst.agents, 0)  # contracts proposed so far
+        self.held = dict.fromkeys(inst.agents, 0)  # contracts in the chosen sets
+        self.moves: list[Move] = []
+        self.eligible = [agent for agent in inst.agents if self.preferences.get(agent)]  # sorted
+
+    @property
+    def outcome(self) -> Outcome:
+        """The union of the branches' latest chosen sets."""
+        return frozenset().union(*(result.chosen for result in self.choices.values()))
+
+    def fork(self, agent: AgentId, ranking: Iterable[ContractId]) -> ComState:
+        """A copy of the state in which ``agent`` proposes by ``ranking``;
+        raises :class:`ValueError` once the agent has proposed."""
+        if self.proposed[agent]:
+            raise ValueError(f"agent {agent} has proposed; only an agent who has not can be forked")
+        ranking = tuple(ranking)
+        other = object.__new__(ComState)
+        other.__dict__ = {
+            "inst": self.inst,
+            "rng": None if self.rng is None else copy.copy(self.rng),
+            "preferences": {**self.preferences, agent: ranking},
+            "pools": {branch: set(pool) for branch, pool in self.pools.items()},
+            "choices": dict(self.choices),
+            "proposed": dict(self.proposed),
+            "held": dict(self.held),
+            "moves": list(self.moves),
+            "eligible": list(self.eligible),
+        }
+        _relist(other.eligible, agent, other.held[agent] == 0 and bool(ranking))
+        return other
+
+    def run(self, stop: AgentId | None = None) -> None:
+        """Take steps until no agent is eligible, or, given ``stop``, until
+        no eligible agent other than ``stop`` sorts before it."""
+        rng = self.rng
+        if stop is not None and rng is not None:
+            raise ValueError("a run stops at an agent's turn only under the lex policy")
+        inst, index, preferences = self.inst, self.inst.contract_index, self.preferences
+        pools, choices, proposed, held = self.pools, self.choices, self.proposed, self.held
+        eligible, moves = self.eligible, self.moves
+        while eligible:
+            if rng is None:
+                agent = eligible[0]
+                if stop is not None and agent >= stop:
+                    break
+            else:
+                agent = rng.choice(eligible)
+            cid = preferences[agent][proposed[agent]]
+            proposed[agent] += 1
+            branch = index[cid].branch
+            pool = pools.setdefault(branch, set())
+            pool.add(cid)
+            old = choices[branch].chosen if branch in choices else frozenset()
+            choices[branch] = result = branch_choice(inst, branch, pool)
+            new = result.chosen
+            # only the proposer and the agents in this branch's chosen diff change
+            touched = {agent}
+            for c in old ^ new:
+                owner = index[c].agent
+                held[owner] += 1 if c in new else -1
+                touched.add(owner)
+            for a in touched:
+                _relist(eligible, a, held[a] == 0 and proposed[a] < len(preferences.get(a, ())))
+            moves.append((agent, cid, branch, cid in new))
+
+
 def cumulative_offer(inst: Instance, policy: str = POLICY_LEX, seed: int = 0) -> ComTrace:
     """Run the cumulative offer process and return the full trace.
 
@@ -139,50 +246,9 @@ def cumulative_offer(inst: Instance, policy: str = POLICY_LEX, seed: int = 0) ->
     run takes at most ``sum(len(r) for r in inst.preferences.values())``
     steps, on any instance.
     """
-    if policy not in (POLICY_LEX, POLICY_RANDOM):
-        raise InputError(f"unknown proposal policy {policy!r}")
-    rng = random.Random(seed) if policy == POLICY_RANDOM else None
-    index = inst.contract_index
-    preferences = inst.preferences
-
-    pools: dict[BranchId, set[ContractId]] = {}
-    choices: dict[BranchId, ChoiceResult] = {}
-    proposed = dict.fromkeys(inst.agents, 0)  # contracts proposed so far
-    held = dict.fromkeys(inst.agents, 0)  # contracts in the chosen sets
-    moves: list[Move] = []
-
-    def can_propose(agent: AgentId) -> bool:
-        return held[agent] == 0 and proposed[agent] < len(preferences.get(agent, ()))
-
-    eligible = [agent for agent in inst.agents if can_propose(agent)]  # sorted
-    while eligible:
-        agent = eligible[0] if policy == POLICY_LEX else rng.choice(eligible)
-        cid = preferences[agent][proposed[agent]]
-        proposed[agent] += 1
-        branch = index[cid].branch
-        pool = pools.setdefault(branch, set())
-        pool.add(cid)
-        old = choices[branch].chosen if branch in choices else frozenset()
-        choices[branch] = result = branch_choice(inst, branch, pool)
-        new = result.chosen
-        # only the proposer and the agents in this branch's chosen diff change
-        touched = {agent}
-        for c in old ^ new:
-            owner = index[c].agent
-            held[owner] += 1 if c in new else -1
-            touched.add(owner)
-        for a in touched:
-            i = bisect_left(eligible, a)
-            listed = i < len(eligible) and eligible[i] == a
-            if can_propose(a) != listed:
-                if listed:
-                    del eligible[i]
-                else:
-                    eligible.insert(i, a)
-        moves.append((agent, cid, branch, cid in new))
-
-    outcome = frozenset().union(*(result.chosen for result in choices.values()))
-    return ComTrace(tuple(moves), outcome, choices, tuple(inst.branches))
+    state = ComState(inst, policy, seed)
+    state.run()
+    return ComTrace(tuple(state.moves), state.outcome, state.choices, tuple(inst.branches))
 
 
 def holdings(inst: Instance, outcome: Outcome) -> dict[AgentId, ContractId]:

@@ -78,8 +78,16 @@ class Contract:
     terms: str = ""
 
 
-def _tupled(rows: Iterable[Iterable[str]]) -> tuple[tuple[str, ...], ...]:
-    return tuple(tuple(row) for row in rows)
+def _ranking(ranking: Iterable[str], field: str, key: object) -> tuple[str, ...]:
+    """``ranking`` as a tuple; a string, which would split into its
+    characters, raises :class:`InputError` naming ``field[key]``."""
+    if isinstance(ranking, str):
+        raise InputError(f"{field}[{key}]: a ranking must be a sequence of contract ids, not a string")
+    return tuple(ranking)
+
+
+def _tupled(rows: Iterable[Iterable[str]], field: str) -> tuple[tuple[str, ...], ...]:
+    return tuple([_ranking(row, field, k) for k, row in enumerate(rows)])
 
 
 @dataclass(frozen=True)
@@ -103,8 +111,8 @@ class BranchConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "location", tuple(self.location))
         object.__setattr__(self, "transfer", tuple(self.transfer))
-        object.__setattr__(self, "original_priorities", _tupled(self.original_priorities))
-        object.__setattr__(self, "shadow_priorities", _tupled(self.shadow_priorities))
+        for field in ("original_priorities", "shadow_priorities"):
+            object.__setattr__(self, field, _tupled(getattr(self, field), f"branches[{self.id}].{field}"))
 
     def original_slot(self, k: int) -> SlotId:
         return SlotId(self.id, ORIGINAL, k)
@@ -133,8 +141,8 @@ class BranchConfig:
         :meth:`priority` does."""
         field = self._priority_field(slot)
         rows = list(getattr(self, field))
-        rows[slot.index - 1] = tuple(ranking)
-        return replace(self, **{field: tuple(rows)})
+        rows[slot.index - 1] = ranking
+        return replace(self, **{field: rows})
 
     # Derived once per config, on first use (never in __init__, so building
     # instances stays cheap).  They live outside the dataclass fields:
@@ -201,7 +209,9 @@ class Instance:
         preferences = _sorted(self.preferences.items(), "preferences", "agents")
         branches = _sorted(self.branches.items(), "branches", "branch ids")
         object.__setattr__(self, "contracts", tuple(contracts))
-        object.__setattr__(self, "preferences", {agent: tuple(r) for agent, r in preferences})
+        object.__setattr__(
+            self, "preferences", {agent: _ranking(r, "preferences", agent) for agent, r in preferences}
+        )
         object.__setattr__(self, "branches", dict(branches))
 
     # -- derived lookups (cached; instances are immutable) --
@@ -260,7 +270,7 @@ class Instance:
 
     def with_preference(self, agent: AgentId, ranking: Sequence[ContractId]) -> "Instance":
         prefs = dict(self.preferences)
-        prefs[agent] = tuple(ranking)
+        prefs[agent] = ranking
         return replace(self, preferences=prefs)
 
     def with_branch(self, cfg: BranchConfig) -> "Instance":

@@ -25,6 +25,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .choice import ChoiceResult, completion_choose, sspwct_choose
 from .mechanism import (
     DEFAULT_BLOCKING_BOUND,
+    ComState,
     InstanceTooLarge,
     branch_universe,
     cumulative_offer,
@@ -259,7 +260,17 @@ def misreports(universe: Sequence[ContractId]) -> Iterator[tuple[ContractId, ...
 def check_strategy_proofness(inst: Instance) -> PropertyVerdict:
     """No agent can obtain a strictly better contract (by her true ranking)
     by reporting any alternative ranking of any subset of her contracts;
-    refuses an agent with more than :data:`MISREPORT_BOUND` contracts."""
+    refuses an agent with more than :data:`MISREPORT_BOUND` contracts.
+
+    Each report replays only the steps it can change.  One truthful ``lex``
+    run pauses at each agent's first turn, in id order; each of the agent's
+    reports runs a :meth:`~sspwct.mechanism.ComState.fork` of it to the end,
+    which is exact for any deterministic choice rule (see
+    :mod:`sspwct.mechanism`).  A run in which she proposes only the first k
+    contracts of her report reads her ranking only through those k and
+    through whether it has more, so every later report that starts with
+    the same k contracts and is longer than k reuses its holding.
+    """
     for agent, owned in inst.contracts_of_agent.items():
         if len(owned) > MISREPORT_BOUND:
             raise InstanceTooLarge(
@@ -267,20 +278,36 @@ def check_strategy_proofness(inst: Instance) -> PropertyVerdict:
                 f"exhaustive and capped at {MISREPORT_BOUND}"
             )
     truthful = holdings(inst, cumulative_offer(inst).outcome)
-    deviations = (
-        (agent, report, holdings(inst, cumulative_offer(inst.with_preference(agent, report)).outcome))
-        for agent in inst.agents
-        for report in misreports(inst.contracts_of_agent.get(agent, ()))
-        if report != inst.preferences.get(agent, ())
-    )
+
+    def deviations() -> Iterator[tuple[AgentId, tuple[ContractId, ...], ContractId | None]]:
+        state = ComState(inst)
+        for agent in inst.agents:
+            truth = inst.preferences.get(agent, ())
+            reports = [r for r in misreports(inst.contracts_of_agent.get(agent, ())) if r != truth]
+            if reports:
+                state.run(stop=agent)
+            settled: dict[tuple[ContractId, ...], ContractId | None] = {}  # proposed prefix -> holding
+            for report in reports:
+                prefix = next((report[:k] for k in range(len(report)) if report[:k] in settled), None)
+                if prefix is None:
+                    deviation = state.fork(agent, report)
+                    deviation.run()
+                    held = holdings(inst, deviation.outcome).get(agent)
+                    proposed = deviation.proposed[agent]
+                    if proposed < len(report):
+                        settled[report[:proposed]] = held
+                else:
+                    held = settled[prefix]
+                yield agent, report, held
+
     return _verdict("strategy-proofness", (
         {
             "agent": agent,
             "misreport": list(report),
             "truthful_assignment": truthful.get(agent),
-            "deviation_assignment": held.get(agent),
-        } if inst.prefers(agent, held.get(agent), truthful.get(agent)) else None
-        for agent, report, held in deviations
+            "deviation_assignment": held,
+        } if inst.prefers(agent, held, truthful.get(agent)) else None
+        for agent, report, held in deviations()
     ))
 
 

@@ -6,7 +6,8 @@ with dict bookkeeping (and refusing offers its branch does not own), a cumulativ
 round and copies every branch's pool into every step, a blocking search
 that rescans the outcome for every agent of every candidate set, and the
 seat ledger and holder lookups that chose again from the final pools and
-scanned the outcome per agent.  The reference choice rule decides seat
+scanned the outcome per agent, and the strategy-proofness check that ran
+the library's COM from step 1 on a fresh instance per misreport.  The reference choice rule decides seat
 activity on its own and returns its own :class:`Choice` record, built
 without the library's; the reference COM records its own :class:`Step`
 per step, with a frozen copy of every pool, and its own :class:`Trace`.
@@ -18,7 +19,7 @@ import random
 from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple
 
-from sspwct import mechanism
+from sspwct import mechanism, oracles
 from sspwct.mechanism import POLICY_LEX, POLICY_RANDOM
 from sspwct.model import (
     ORIGINAL,
@@ -259,3 +260,33 @@ def assigned_contract(inst: Instance, outcome: Outcome, agent: AgentId) -> Contr
         if inst.contract_index[cid].agent == agent:
             return cid
     return None
+
+
+def check_strategy_proofness(inst: Instance) -> oracles.PropertyVerdict:
+    """The strategy-proofness check before it forked COM at each agent's
+    first turn: every misreport builds an instance with ``with_preference``
+    and runs the library's :func:`~sspwct.mechanism.cumulative_offer` on it
+    from step 1."""
+    for agent, owned in inst.contracts_of_agent.items():
+        if len(owned) > oracles.MISREPORT_BOUND:
+            raise mechanism.InstanceTooLarge(
+                f"agent {agent} has {len(owned)} contracts; misreport enumeration is "
+                f"exhaustive and capped at {oracles.MISREPORT_BOUND}"
+            )
+    truthful = mechanism.holdings(inst, mechanism.cumulative_offer(inst).outcome)
+    deviations = (
+        (agent, report, mechanism.holdings(
+            inst, mechanism.cumulative_offer(inst.with_preference(agent, report)).outcome))
+        for agent in inst.agents
+        for report in oracles.misreports(inst.contracts_of_agent.get(agent, ()))
+        if report != inst.preferences.get(agent, ())
+    )
+    return oracles._verdict("strategy-proofness", (
+        {
+            "agent": agent,
+            "misreport": list(report),
+            "truthful_assignment": truthful.get(agent),
+            "deviation_assignment": held.get(agent),
+        } if inst.prefers(agent, held.get(agent), truthful.get(agent)) else None
+        for agent, report, held in deviations
+    ))

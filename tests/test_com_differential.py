@@ -1,21 +1,27 @@
 """Differential tests: the incremental cumulative offer process, the
 planned choice rules (which stop walking once no later seat can pick),
 the filtered blocking search, and the seat ledger and
-holder map read off a COM run, against the straightforward implementations
+holder map read off a COM run, and the strategy-proofness check's forked
+runs, against the straightforward implementations
 they replaced (kept in ``com_reference``).  Traces must match exactly, step
 by step and pool by pool, for the deterministic and the seeded random
 policy: the steps the library rebuilds from its move log against the
 reference's recorded steps, and the JSON the library replays from the log
 against the reference's steps with every pool sorted afresh."""
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 import com_reference as ref
 from conftest import CountedSet
+from sspwct import cli
 from sspwct.choice import completion_choose, sspwct_choose
 from sspwct.generator import GeneratorConfig, generate_batch, generate_instance
-from sspwct.mechanism import cumulative_offer, find_blocking_set, holdings
+from sspwct.mechanism import ComState, cumulative_offer, find_blocking_set, holdings
+from sspwct.oracles import check_strategy_proofness, misreports
 
 BATCHES = {
     "default": (GeneratorConfig(seed=3000), 100),
@@ -183,3 +189,46 @@ def test_choice_rules_stop_walking_without_changing_the_choice(rule, completion)
     # the stop cut the walk short on at least half of the calls (374 and 401
     # of 720); a walk to the end of the plan cuts none
     assert 2 * stopped >= calls, (stopped, calls)
+
+
+def _battery_config(seed: int) -> GeneratorConfig:
+    """The generator settings of the benchmark's oracle battery, read from
+    its pinned ``sspwct oracle`` flags through the command line's parser."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    argv = ["oracle", "--gen", "--seed", str(seed), *workloads.ORACLE_GENERATOR_FLAGS]
+    return cli._generator_config(cli.build_parser().parse_args(argv))
+
+
+#: acceptance criterion 05's settings, and the oracle battery's
+MISREPORT_BATCHES = {
+    "criterion-05": (GeneratorConfig(seed=11000, agents=4, branches=2, capacity=(1, 3),
+                                     contracts_per_pair=(0, 2), density=0.7, transfer_density=0.5), 100),
+    "battery": (_battery_config(7), 100),
+}
+
+
+@pytest.mark.parametrize("batch", sorted(MISREPORT_BATCHES))
+def test_forked_runs_match_full_runs_for_every_report(batch):
+    # each report, the truthful one included, forked at the agent's first
+    # turn of one paused truthful run, against a full run on a fresh instance
+    cfg, count = MISREPORT_BATCHES[batch]
+    reports = replayed = full = 0
+    for i, inst in enumerate(generate_batch(cfg, count)):
+        state = ComState(inst)
+        for agent in inst.agents:
+            state.run(stop=agent)
+            for report in misreports(inst.contracts_of_agent.get(agent, ())):
+                fork = state.fork(agent, report)
+                fork.run()
+                want = cumulative_offer(inst.with_preference(agent, report))
+                assert fork.outcome == want.outcome, (cfg.seed + i, agent, report)
+                assert fork.moves == list(want.moves)
+                reports += 1
+                replayed += len(fork.moves) - len(state.moves)
+                full += len(want.moves)
+        assert check_strategy_proofness(inst) == ref.check_strategy_proofness(inst), cfg.seed + i
+    assert reports > 20 * count
+    assert 0 < replayed < full  # the forks shared a prefix of some runs

@@ -1,9 +1,11 @@
+import hashlib
 import tracemalloc
 
 import pytest
 
 from sspwct import mechanism
 from sspwct.mechanism import (
+    ComState,
     ComStep,
     InstanceTooLarge,
     branch_choice,
@@ -13,9 +15,11 @@ from sspwct.mechanism import (
     is_individually_rational,
     stability_report,
 )
-from sspwct.generator import GeneratorConfig, generate_instance
+from sspwct.generator import GeneratorConfig, generate_batch, generate_instance
+from sspwct.model import canonical_json
 
 from conftest import branch, make_instance
+from test_com_differential import BATCHES, POLICIES
 
 
 def contested_instance():
@@ -149,6 +153,79 @@ class TestCumulativeOffer:
         assert built == []
         assert len(trace.steps) == len(trace.moves) == len(built) > 500
         assert trace.steps[-1].pools.keys() == inst.branches.keys()
+
+
+def snapshot(state):
+    """Copies of everything a run or a fork may change."""
+    return ({b: set(pool) for b, pool in state.pools.items()}, dict(state.choices), dict(state.proposed),
+            dict(state.held), list(state.eligible), list(state.moves), dict(state.preferences))
+
+
+class TestComState:
+    def paused(self):
+        """A lex run paused at the turn of the fourth of eight agents."""
+        inst = generate_instance(GeneratorConfig(seed=41, agents=8))
+        agent = inst.agents[3]
+        state = ComState(inst)
+        state.run(stop=agent)
+        return inst, agent, state
+
+    def test_a_stop_agent_pauses_the_run_before_its_turn(self):
+        inst, agent, state = self.paused()
+        assert state.moves and all(mover < agent for mover, *_ in state.moves)
+        assert state.eligible[0] >= agent
+        state.run()  # resuming finishes the run a single call makes
+        full = cumulative_offer(inst)
+        assert tuple(state.moves) == full.moves and state.outcome == full.outcome
+
+    def test_running_a_fork_leaves_the_parent_unchanged(self):
+        inst, agent, state = self.paused()
+        before = snapshot(state)
+        report = tuple(reversed(inst.contracts_of_agent[agent]))
+        assert report != inst.preferences[agent]
+        fork = state.fork(agent, report)
+        fork.run()
+        assert len(fork.moves) > len(state.moves) and fork.preferences[agent] == report
+        assert snapshot(state) == before
+        assert fork.outcome == cumulative_offer(inst.with_preference(agent, report)).outcome
+
+    def test_forking_an_agent_who_has_proposed_raises(self):
+        inst, agent, state = self.paused()
+        mover = state.moves[0][0]
+        with pytest.raises(ValueError, match=f"agent {mover} has proposed"):
+            state.fork(mover, ())
+
+    def test_a_fork_lists_the_agent_as_her_new_ranking_allows(self):
+        inst, agent, state = self.paused()
+        assert agent in state.eligible
+        assert agent not in state.fork(agent, ()).eligible
+        assert agent in state.fork(agent, ()).fork(agent, inst.preferences[agent]).eligible
+
+    def test_a_stop_agent_under_the_random_policy_raises(self):
+        state = ComState(contested_instance(), policy="random", seed=1)
+        with pytest.raises(ValueError, match="only under the lex policy"):
+            state.run(stop="B")
+        assert state.moves == []
+
+
+#: sha256 of every run's moves and trace JSON, per batch of
+#: ``test_com_differential``, recorded before COM became a state object
+MOVES_DIGESTS = {
+    "12x3": "a5a0599315f055e0b7cd01a6b3b4afe9ca8fe577802143670c1a1ec69a75e882",
+    "30x4": "82e2fb5a38134e5eaa6ebb6f6debeb61ce6478f5917b681f3c6ee8216f8d2094",
+    "default": "58849b1ed268f752d452f1b3bad80be805036bd36287b2a3aa11948c2a4e6a2d",
+}
+
+
+@pytest.mark.parametrize("batch", sorted(BATCHES))
+def test_cumulative_offer_moves_and_traces_are_unchanged(batch):
+    cfg, count = BATCHES[batch]
+    digest = hashlib.sha256()
+    for inst in generate_batch(cfg, count):
+        for policy, seed in POLICIES:
+            trace = cumulative_offer(inst, policy=policy, seed=seed)
+            digest.update(canonical_json({"moves": trace.moves, "trace": trace.to_json()}).encode())
+    assert digest.hexdigest() == MOVES_DIGESTS[batch]
 
 
 class TestIndividualRationality:

@@ -383,6 +383,39 @@ def test_ids_that_do_not_sort_together_raise_an_input_error(args, message):
         Instance(*args)
 
 
+#: a ranking written as one string would split into its characters; with
+#: single-character ids the split market validates and runs
+STRING_RANKINGS = [
+    (lambda: Instance((), {"A": "yx"}, {}), "preferences[A]"),
+    (lambda: make_instance([("x", "A", "b"), ("y", "A", "b")], {"A": ("x", "y")},
+                           [BranchConfig("b", 1, (1,), (0,), ("xy",), ((),))]),
+     "branches[b].original_priorities[0]"),
+    (lambda: BranchConfig("b", 2, (1, 2), (0, 0), ((), ()), ((), "xy")),
+     "branches[b].shadow_priorities[1]"),
+    (lambda: make_instance([("x", "A", "b")], {"A": ("x",)}, [branch(n=1)]).with_preference("A", "x"),
+     "preferences[A]"),
+    (lambda: branch(n=1).with_ranking(branch(n=1).original_slot(1), "x"),
+     "branches[b].original_priorities[0]"),
+]
+
+
+@pytest.mark.parametrize("build, field", STRING_RANKINGS,
+                         ids=["preference", "original", "shadow", "with_preference", "with_ranking"])
+def test_a_ranking_given_as_one_string_raises_an_input_error(build, field):
+    with pytest.raises(InputError, match=re.escape(
+        f"{field}: a ranking must be a sequence of contract ids, not a string"
+    )):
+        build()
+
+
+def test_rankings_of_any_sequence_are_stored_as_tuples():
+    inst = make_instance([("x", "A", "b"), ("y", "A", "b")], {"A": ["x", "y"]},
+                         [BranchConfig("b", 1, [1], [0], [["y", "x"]], [[]])])
+    assert inst.preferences["A"] == ("x", "y")
+    assert inst.branches["b"].original_priorities == (("y", "x"),)
+    assert inst.with_preference("A", iter(["y"])).preferences["A"] == ("y",)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 10_000),

@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 from sspwct.choice import ChoiceResult, completion_choose, sspwct_choose
-from sspwct.generator import GeneratorConfig, generate_instance
-from sspwct import oracles
-from sspwct.mechanism import ComTrace, InstanceTooLarge, cumulative_offer
+from sspwct.generator import GeneratorConfig, generate_batch, generate_instance
+from sspwct import mechanism, oracles
+from sspwct.mechanism import ComTrace, InstanceTooLarge, cumulative_offer, holdings
 from sspwct.model import ORIGINAL, InputError
 from sspwct.oracles import (
     check_completion,
@@ -31,6 +31,7 @@ from sspwct.oracles import (
     run_suite,
 )
 
+import com_reference as ref
 from conftest import branch, make_instance
 
 
@@ -76,6 +77,27 @@ def stingy_rule(cfg, offers, contracts):
         doctored = replace(cfg, original_priorities=((),) + cfg.original_priorities[1:])
         return completion_choose(doctored, offers, contracts)
     return completion_choose(cfg, offers, contracts)
+
+
+def choose_from_pairs(cfg, offers, contracts):
+    """Corruption: choose nothing from fewer than two offers."""
+    offers = frozenset(offers)
+    return sspwct_choose(cfg, offers, contracts) if len(offers) >= 2 else ChoiceResult(frozenset())
+
+
+def drop_lowest_id(cfg, offers, contracts):
+    """Corruption: from three or more offers, drop the lowest contract id
+    before choosing."""
+    offers = frozenset(offers)
+    if len(offers) >= 3:
+        offers = offers - {min(offers)}
+    return sspwct_choose(cfg, offers, contracts)
+
+
+def reject_odd_pools(cfg, offers, contracts):
+    """Corruption: reject every offer of an odd-sized offer set."""
+    offers = frozenset(offers)
+    return ChoiceResult(frozenset()) if len(offers) % 2 else sspwct_choose(cfg, offers, contracts)
 
 
 class TestMutationSensitivity:
@@ -134,7 +156,32 @@ class TestMutationSensitivity:
         assert len(verdict.witness["smaller_set_chose"]) > len(verdict.witness["larger_set_chose"])
 
 
-#: Runs the three table-based checks on corrupted rules over a generated
+    @pytest.mark.parametrize("rule", [choose_from_pairs, drop_lowest_id, reject_odd_pools])
+    def test_strategy_proofness_oracle_fires_on_corrupted_rules(self, monkeypatch, rule):
+        # COM reaches the rule through mechanism's module global, and so do
+        # the forked runs; their verdicts must equal the per-misreport
+        # reference's, and every fail witness must replay through full runs
+        monkeypatch.setattr(mechanism, "sspwct_choose", rule)
+        fails = 0
+        for inst in generate_batch(GeneratorConfig(seed=4100), 100):
+            verdict = check_strategy_proofness(inst)
+            assert verdict == ref.check_strategy_proofness(inst)
+            if verdict.status == "fail":
+                fails += 1
+                w = verdict.witness
+                misreported = inst.with_preference(w["agent"], w["misreport"])
+                assert holdings(inst, cumulative_offer(inst).outcome).get(w["agent"]) == (
+                    w["truthful_assignment"])
+                assert holdings(inst, cumulative_offer(misreported).outcome).get(w["agent"]) == (
+                    w["deviation_assignment"])
+                assert inst.prefers(w["agent"], w["deviation_assignment"], w["truthful_assignment"])
+        # 28-34, 11-12 and 48-51 of the 100 over four hash seeds: these rules
+        # let an agent hold two contracts, and ``holdings`` keeps whichever
+        # the outcome's set order puts last
+        assert fails >= 5
+
+
+
 #: batch and prints every verdict's JSON.
 _CORRUPTED_VERDICTS_SCRIPT = """
 import json
@@ -284,6 +331,20 @@ class TestStrategyProofness:
         assert truthful == {"b2"}
         verdict = check_strategy_proofness(inst)
         assert verdict.ok and verdict.instances_checked > 0
+
+    def test_reports_extending_a_settled_prefix_reuse_its_run(self, monkeypatch):
+        # a run in which the agent proposes only the first k contracts of her
+        # report settles every longer report starting with them: those run no
+        # fork, and the verdicts still equal the per-misreport reference's
+        fork, forks = mechanism.ComState.fork, []
+        monkeypatch.setattr(mechanism.ComState, "fork",
+                            lambda self, *args: forks.append(args) or fork(self, *args))
+        checked = 0
+        for inst in generate_batch(GeneratorConfig(seed=4200), 40):
+            verdict = check_strategy_proofness(inst)
+            assert verdict == ref.check_strategy_proofness(inst)
+            checked += verdict.instances_checked
+        assert 0 < len(forks) < 0.6 * checked, (len(forks), checked)  # 863 of 1,724
 
     def test_limit_enforced(self):
         contracts = [(f"c{i}", "A", "b") for i in range(5)]
