@@ -122,6 +122,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     payload = {"outcome": sorted(trace.outcome)}
     if args.trace:
         payload["trace"] = trace.to_json()["steps"]
+    del trace  # the finished run keeps its pools and counts; free them before writing
     _emit(payload)
     return EXIT_OK
 

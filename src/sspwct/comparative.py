@@ -62,7 +62,7 @@ class ImprovementChainError(RuntimeError):
 @dataclass(frozen=True)
 class ComparisonReport:
     """Both outcomes, the per-agent comparison and the verdict, plus each
-    run's seat ledger (:attr:`~sspwct.mechanism.ComTrace.seats`; not part
+    run's seat ledger (:attr:`~sspwct.mechanism.ComState.seats`; not part
     of :meth:`to_json`)."""
 
     baseline: Outcome

@@ -19,30 +19,29 @@ only the touched agents update.  ``lex`` takes its first element and
 ``random`` draws ``rng.choice`` from it (by Hirata & Kasuya's order
 independence, the outcome does not depend on the policy).  COM keeps one
 pool per branch and logs each step as one move (proposer, contract,
-branch, held); a step's pools are the contracts proposed to each branch so
-far, so the trace rebuilds them from the log only when they are read.  Per
-branch, COM keeps only its latest choice, whose chosen set is the old side
-of the next diff; the final choices' union is the outcome, and their merged
-ledgers are the trace's seat ledger.
+branch, held), from which a finished run rebuilds each step's pools only
+when they are read.  Per branch, COM keeps only its latest choice, whose
+chosen set is the old side of the next diff; the final choices' union is
+the outcome, and their merged ledgers are the run's seat ledger.
 
-A run in progress is a :class:`ComState`; :func:`cumulative_offer` builds
-one, runs it to the end and wraps it in a :class:`ComTrace`.
-``run(stop=agent)`` pauses a ``lex`` run once no eligible agent other than
-``agent`` sorts before it, and ``fork(agent, ranking)`` copies the state
-and gives an agent who has proposed nothing a new ranking.  A fork at the
-pause runs exactly the steps a full run on the market with that ranking
-takes, for any deterministic choice rule: every step before the pause is
-proposed by an agent who sorts before ``agent``, a step reads only its
-proposer's ranking, and whether ``agent`` is eligible cannot change the
-list's first element while an agent before her is.  So the prefix is the
-same whatever she reports, and the strategy-proofness oracle replays only
-what follows it.  (A fork that first runs every other agent to quiescence
-would rest on order independence instead, which a faulty choice rule need
-not have, and a check through it can miss such a rule's violations.)
+A run is a :class:`ComState`; :func:`cumulative_offer` builds one and runs
+it to the end.  ``run(stop=agent)`` pauses a ``lex`` run once no eligible
+agent other than ``agent`` sorts before it, and ``fork(agent, ranking)``
+copies the state and gives an agent who has proposed nothing a new
+ranking.  A fork at the pause runs exactly the steps a full run on the
+market with that ranking takes, for any deterministic choice rule: every
+step before the pause is proposed by an agent who sorts before ``agent``,
+a step reads only its proposer's ranking, and whether ``agent`` is
+eligible cannot change the list's first element while an agent before
+her is.  So the prefix is the same whatever she reports, and the
+strategy-proofness oracle replays only what follows it.  (A fork that
+first runs every other agent to quiescence would rest on order
+independence instead, which a faulty choice rule need not have, and a
+check through it can miss such a rule's violations.)
 
 Stability is verified by brute force on one path, :func:`stability_report`:
-feasibility, individual rationality and an exhaustive search over candidate
-blocking sets, feasible per branch.
+feasibility, individual rationality and an exhaustive search over
+candidate blocking sets, feasible per branch.
 """
 from __future__ import annotations
 
@@ -78,56 +77,6 @@ class ComStep:
     pools: Mapping[BranchId, frozenset]
 
 
-#: One COM step as the trace logs it: (proposer, contract, branch, held).
-Move = tuple[AgentId, ContractId, BranchId, bool]
-
-
-@dataclass(frozen=True)
-class ComTrace:
-    """One COM run: its ``moves``, its outcome and ``choices``, each
-    branch's choice from its final pool (a branch nobody proposed to has
-    none).  ``branches`` lists every branch of the market, in order."""
-
-    moves: tuple[Move, ...]
-    outcome: Outcome
-    choices: Mapping[BranchId, ChoiceResult]
-    branches: tuple[BranchId, ...]
-
-    def _replay(self, empty, add) -> Iterator[tuple[int, AgentId, ContractId, str, dict]]:
-        """Each step's t, agent, contract, verdict and pools, every branch's
-        pool grown from ``empty`` by ``add(pool, contract)``.  Only the pool
-        of the branch proposed to is a new object; the rest are the previous
-        step's."""
-        pools = dict.fromkeys(self.branches, empty)
-        for t, (agent, cid, branch, held) in enumerate(self.moves, 1):
-            pools = dict(pools)
-            pools[branch] = add(pools[branch], cid)
-            yield t, agent, cid, "held" if held else "rejected", pools
-
-    @cached_property
-    def steps(self) -> tuple[ComStep, ...]:
-        """The steps, built from the moves when first read: step t's
-        ``pools`` map every branch to the contracts proposed to it in steps
-        1..t."""
-        return tuple(ComStep(*step) for step in self._replay(frozenset(), lambda pool, cid: pool | {cid}))
-
-    @cached_property
-    def seats(self) -> dict[SlotId, ContractId]:
-        """The seat ledger, occupied seat -> contract: the merge of the
-        branches' :attr:`~sspwct.choice.ChoiceResult.seats`, built when
-        first read."""
-        return {slot: cid for result in self.choices.values() for slot, cid in result.seats.items()}
-
-    def to_json(self) -> dict:
-        """The steps with their pools as sorted lists, replayed from the
-        moves, so steps share the lists of the pools they did not grow."""
-        steps = [
-            {"t": t, "agent": agent, "contract": cid, "verdict": verdict, "pools": pools}
-            for t, agent, cid, verdict, pools in self._replay([], lambda pool, cid: sorted([*pool, cid]))
-        ]
-        return {"steps": steps, "outcome": sorted(self.outcome)}
-
-
 def branch_universe(inst: Instance, branch: BranchId, bound: int, what: str) -> tuple[ContractId, ...]:
     """The branch's contracts, for an enumeration over their subsets; raises
     :class:`InstanceTooLarge` when there are more than ``bound``."""
@@ -157,9 +106,9 @@ def _relist(eligible: list[AgentId], agent: AgentId, can_propose: bool) -> None:
 
 
 class ComState:
-    """A cumulative offer run in progress: the branches' pools and latest
-    choices, each agent's proposal and held counts, the eligible agents
-    (sorted), the move log, and the ranking each agent proposes by."""
+    """A cumulative offer run, in progress or finished: the branches' pools
+    and latest choices, each agent's proposal and held counts, the eligible
+    agents (sorted), the move log, and the ranking each agent proposes by."""
 
     def __init__(self, inst: Instance, policy: str = POLICY_LEX, seed: int = 0) -> None:
         if policy not in (POLICY_LEX, POLICY_RANDOM):
@@ -171,13 +120,46 @@ class ComState:
         self.choices: dict[BranchId, ChoiceResult] = {}
         self.proposed = dict.fromkeys(inst.agents, 0)  # contracts proposed so far
         self.held = dict.fromkeys(inst.agents, 0)  # contracts in the chosen sets
-        self.moves: list[Move] = []
+        self.moves: list[tuple] = []  # (proposer, contract, branch, held) per step
         self.eligible = [agent for agent in inst.agents if self.preferences.get(agent)]  # sorted
 
     @property
     def outcome(self) -> Outcome:
         """The union of the branches' latest chosen sets."""
         return frozenset().union(*(result.chosen for result in self.choices.values()))
+
+    def _replay(self, empty, add) -> Iterator[tuple[int, AgentId, ContractId, str, dict]]:
+        """Each step's t, agent, contract, verdict and pools, every branch's
+        pool grown from ``empty`` by ``add(pool, contract)``; only the
+        proposed-to branch's pool is new, the rest are the previous step's."""
+        pools = dict.fromkeys(self.inst.branches, empty)
+        for t, (agent, cid, branch, held) in enumerate(self.moves, 1):
+            pools = dict(pools)
+            pools[branch] = add(pools[branch], cid)
+            yield t, agent, cid, "held" if held else "rejected", pools
+
+    @cached_property
+    def steps(self) -> tuple[ComStep, ...]:
+        """The steps of a finished run, built from the moves when first
+        read: step t's ``pools`` map every branch to the contracts proposed
+        to it in steps 1..t."""
+        return tuple(ComStep(*step) for step in self._replay(frozenset(), lambda pool, cid: pool | {cid}))
+
+    @cached_property
+    def seats(self) -> dict[SlotId, ContractId]:
+        """The seat ledger of a finished run, occupied seat -> contract: the
+        merge of the branches' :attr:`~sspwct.choice.ChoiceResult.seats`,
+        built when first read."""
+        return {slot: cid for result in self.choices.values() for slot, cid in result.seats.items()}
+
+    def to_json(self) -> dict:
+        """The steps with their pools as sorted lists, replayed from the
+        moves, so steps share the lists of the pools they did not grow."""
+        steps = [
+            {"t": t, "agent": agent, "contract": cid, "verdict": verdict, "pools": pools}
+            for t, agent, cid, verdict, pools in self._replay([], lambda pool, cid: sorted([*pool, cid]))
+        ]
+        return {"steps": steps, "outcome": sorted(self.outcome)}
 
     def fork(self, agent: AgentId, ranking: Iterable[ContractId]) -> ComState:
         """A copy of the state in which ``agent`` proposes by ``ranking``;
@@ -235,8 +217,8 @@ class ComState:
             moves.append((agent, cid, branch, cid in new))
 
 
-def cumulative_offer(inst: Instance, policy: str = POLICY_LEX, seed: int = 0) -> ComTrace:
-    """Run the cumulative offer process and return the full trace.
+def cumulative_offer(inst: Instance, policy: str = POLICY_LEX, seed: int = 0) -> ComState:
+    """Run the cumulative offer process and return the finished run.
 
     ``policy`` picks the proposer among eligible agents each round:
     ``"lex"`` takes the smallest agent id (the canonical, deterministic
@@ -248,14 +230,19 @@ def cumulative_offer(inst: Instance, policy: str = POLICY_LEX, seed: int = 0) ->
     """
     state = ComState(inst, policy, seed)
     state.run()
-    return ComTrace(tuple(state.moves), state.outcome, state.choices, tuple(inst.branches))
+    return state
 
 
 def holdings(inst: Instance, outcome: Outcome) -> dict[AgentId, ContractId]:
     """Agent -> the contract she holds in ``outcome`` (agents holding nothing
-    are absent; a feasible outcome holds one contract per agent)."""
-    index = inst.contract_index
-    return {index[c].agent: c for c in outcome}
+    are absent).  Of several, which only a faulty choice rule leaves, she
+    holds her favorite, and of unlisted ones the smallest id."""
+    index, held = inst.contract_index, {}
+    for c in sorted(outcome):  # ids in order, so a tie keeps the smaller
+        agent = index[c].agent
+        if agent not in held or inst.prefers(agent, c, held[agent]):
+            held[agent] = c
+    return held
 
 
 def _branch_part(inst: Instance, outcome: Outcome, branch: BranchId) -> frozenset:

@@ -290,22 +290,28 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _strict_order_violations(label: str, ranking: Sequence[ContractId]) -> list[str]:
+def _ranking_violations(label: str, ranking: Sequence[ContractId], owner_of: Mapping, owner: str,
+                        kind: str = "") -> list[str]:
+    """A ranking's duplicate entries, then its entries that are unknown or
+    not ``owner``'s by ``owner_of`` (contract id -> owner).  A ranking with
+    an entry that does not hash gets instead one violation per entry that is
+    not a string, so a valid ranking pays no per-entry type test."""
     seen: set[ContractId] = set()
-    out = []
-    for cid in ranking:
-        if cid in seen:
-            out.append(f"{label}: strict order violated (duplicate contract {cid})")
-        seen.add(cid)
-    return out
-
-
-def _entry_violations(label: str, ranking: Sequence[ContractId]) -> list[str]:
-    """One violation per ranking entry that is not a string.  Called only
-    once a ranking's checks raised ``TypeError`` on an entry that does not
-    hash, so a valid ranking pays no per-entry type test."""
-    return [f"{label}: ranking entry {cid!r} must be a contract id (a string)"
-            for cid in ranking if not isinstance(cid, str)]
+    duplicates, entries = [], []
+    try:
+        for cid in ranking:
+            if cid in seen:
+                duplicates.append(f"{label}: strict order violated (duplicate contract {cid})")
+            seen.add(cid)
+            held_by = owner_of.get(cid)
+            if held_by is None:
+                entries.append(f"{label}: unknown contract {cid}")
+            elif held_by != owner:
+                entries.append(f"{label}: contract {cid} belongs to {kind}{held_by}")
+    except TypeError:
+        return [f"{label}: ranking entry {cid!r} must be a contract id (a string)"
+                for cid in ranking if not isinstance(cid, str)]
+    return duplicates + entries
 
 
 def validate_instance(inst: Instance) -> list[str]:
@@ -325,7 +331,8 @@ def validate_instance(inst: Instance) -> list[str]:
 
     # a contract with a field of the wrong kind gets only its kind
     # violations: it may not hash or sort, so the checks below skip it
-    index: dict[ContractId, Contract] = {}
+    agent_of: dict[ContractId, AgentId] = {}
+    branch_of: dict[ContractId, BranchId] = {}
     owners: set[AgentId] = set()
     seen_triples: set[tuple[str, str, str]] = set()
     for c in inst.contracts:
@@ -336,9 +343,9 @@ def validate_instance(inst: Instance) -> list[str]:
                 v.append(f"contract {c.id}: {field} must be {_EXPECTED[kind]} (got {value!r})")
         if len(v) > found:
             continue
-        if c.id in index:
+        if c.id in agent_of:
             v.append(f"contract {c.id}: duplicate contract id")
-        index[c.id] = c
+        agent_of[c.id], branch_of[c.id] = c.agent, c.branch
         owners.add(c.agent)
         triple = (c.agent, c.branch, c.terms)
         if triple in seen_triples:
@@ -354,16 +361,7 @@ def validate_instance(inst: Instance) -> list[str]:
     for agent, ranking in inst.preferences.items():
         if not isinstance(agent, str):
             v.append(f"preference {agent}: agent must be a string (got {agent!r})")
-        try:
-            v.extend(_strict_order_violations(f"preference {agent}", ranking))
-            for cid in ranking:
-                c = index.get(cid)
-                if c is None:
-                    v.append(f"preference {agent}: unknown contract {cid}")
-                elif c.agent != agent:
-                    v.append(f"preference {agent}: contract {cid} belongs to {c.agent}")
-        except TypeError:  # the strict-order check hashes every entry first
-            v.extend(_entry_violations(f"preference {agent}", ranking))
+        v.extend(_ranking_violations(f"preference {agent}", ranking, agent_of, agent))
 
     for b, cfg in inst.branches.items():
         if cfg.id != b:
@@ -400,17 +398,7 @@ def validate_instance(inst: Instance) -> list[str]:
         if len(cfg.original_priorities) != cfg.n or len(cfg.shadow_priorities) != cfg.n:
             continue
         for slot in cfg.slots():
-            ranking = cfg.priority(slot)
-            try:
-                v.extend(_strict_order_violations(f"slot {slot}", ranking))
-                for cid in ranking:
-                    c = index.get(cid)
-                    if c is None:
-                        v.append(f"slot {slot}: unknown contract {cid}")
-                    elif c.branch != b:
-                        v.append(f"slot {slot}: contract {cid} belongs to branch {c.branch}")
-            except TypeError:
-                v.extend(_entry_violations(f"slot {slot}", ranking))
+            v.extend(_ranking_violations(f"slot {slot}", cfg.priority(slot), branch_of, b, "branch "))
 
     return v
 

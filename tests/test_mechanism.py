@@ -176,7 +176,14 @@ class TestComState:
         assert state.eligible[0] >= agent
         state.run()  # resuming finishes the run a single call makes
         full = cumulative_offer(inst)
-        assert tuple(state.moves) == full.moves and state.outcome == full.outcome
+        assert state.moves == full.moves and state.outcome == full.outcome
+
+    def test_cumulative_offer_returns_its_finished_state(self):
+        run = cumulative_offer(generate_instance(GeneratorConfig(seed=41, agents=8)))
+        assert isinstance(run, ComState) and run.moves and run.eligible == []
+        moves = list(run.moves)
+        run.run()
+        assert run.moves == moves
 
     def test_running_a_fork_leaves_the_parent_unchanged(self):
         inst, agent, state = self.paused()
@@ -326,3 +333,16 @@ def test_assigned_contract_lookup():
     held = holdings(inst, cumulative_offer(inst).outcome)
     assert held.get("A") == "x"
     assert held.get("B") is None
+
+
+def test_holdings_keeps_the_favorite_of_several_whatever_the_set_order():
+    # a faulty choice rule can leave A holding two contracts; x and z are
+    # unlisted, so they tie below y and the smaller id wins the tie
+    inst = make_instance(
+        [("x", "A", "b"), ("y", "A", "b"), ("z", "A", "b")],
+        {"A": ("y",)},
+        [branch()],
+    )
+    for outcome, favorite in (({"x", "y", "z"}, "y"), ({"z", "x"}, "x")):
+        for order in (sorted(outcome), sorted(outcome, reverse=True)):
+            assert holdings(inst, order) == {"A": favorite}

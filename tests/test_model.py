@@ -55,6 +55,21 @@ def test_duplicate_in_preference_and_foreign_contract_listed():
     assert any("belongs to branch b2" in v for v in violations)
 
 
+def test_ranking_violations_list_duplicates_first_then_entries_in_order():
+    inst = make_instance(
+        [("x", "a", "b"), ("y", "a2", "b2")],
+        {"a": ("nope", "y", "x", "x"), "a2": ("y",)},
+        [branch("b", n=1, original=[("y", "x", "x")]), branch("b2", n=1)],
+    )
+    assert validate_instance(inst) == [
+        "preference a: strict order violated (duplicate contract x)",
+        "preference a: unknown contract nope",
+        "preference a: contract y belongs to a2",
+        "slot b:o1: strict order violated (duplicate contract x)",
+        "slot b:o1: contract y belongs to branch b2",
+    ]
+
+
 def test_outcome_counts_a_repeated_contract_id_once():
     inst = make_instance(
         [("x", "a", "b"), ("y", "a2", "b")], {"a": ("x",), "a2": ("y",)}, [branch(n=1)]
