@@ -4,7 +4,9 @@ battery, run comparative-statics experiments, and generate instances.
 Data goes to stdout as JSON; diagnostics go to stderr.  Exit codes: 0 on
 success, 1 when the reader closed stdout early (nothing goes to stderr), 2
 on bad input (exactly :class:`~sspwct.model.InputError`), 3 when a
-requested check comes back with a fail verdict.
+requested check does not pass: an oracle verdict of fail or vacuous, an
+unstable outcome, a comparison verdict of violates, or an improvement
+chain that disagrees with the mechanism.
 """
 from __future__ import annotations
 

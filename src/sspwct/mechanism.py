@@ -19,10 +19,11 @@ only the touched agents update.  ``lex`` takes its first element and
 ``random`` draws ``rng.choice`` from it (by Hirata & Kasuya's order
 independence, the outcome does not depend on the policy).  COM keeps one
 pool per branch and logs each step as one move (proposer, contract,
-branch, held), from which a finished run rebuilds each step's pools only
-when they are read.  Per branch, COM keeps only its latest choice, whose
-chosen set is the old side of the next diff; the final choices' union is
-the outcome, and their merged ledgers are the run's seat ledger.
+branch, held); ``to_json`` is the one replay of that log into each step's
+pools.  Per branch, COM keeps only its latest choice, whose chosen set is
+the old side of the next diff; the final choices' union is the outcome,
+and their merged ledgers are the run's seat ledger.  Both views are read
+on demand, never cached, so a paused or resumed run shows its moves so far.
 
 A run is a :class:`ComState`; :func:`cumulative_offer` builds one and runs
 it to the end.  ``run(stop=agent)`` pauses a ``lex`` run once no eligible
@@ -49,9 +50,8 @@ import copy
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .choice import ChoiceResult, sspwct_choose
 from .model import AgentId, BranchId, ContractId, InputError, Instance, Outcome, SlotId, outcome_violations
@@ -70,11 +70,12 @@ class InstanceTooLarge(InputError):
 
 @dataclass(frozen=True)
 class ComStep:
+    """One step of a run, as :attr:`ComState.steps` reads it off ``to_json``."""
     t: int
     agent: AgentId
     contract: ContractId
     verdict: str  # "held" or "rejected"
-    pools: Mapping[BranchId, frozenset]
+    pools: Mapping[BranchId, list]  # sorted, as in ComState.to_json
 
 
 def branch_universe(inst: Instance, branch: BranchId, bound: int, what: str) -> tuple[ContractId, ...]:
@@ -128,37 +129,27 @@ class ComState:
         """The union of the branches' latest chosen sets."""
         return frozenset().union(*(result.chosen for result in self.choices.values()))
 
-    def _replay(self, empty, add) -> Iterator[tuple[int, AgentId, ContractId, str, dict]]:
-        """Each step's t, agent, contract, verdict and pools, every branch's
-        pool grown from ``empty`` by ``add(pool, contract)``; only the
-        proposed-to branch's pool is new, the rest are the previous step's."""
-        pools = dict.fromkeys(self.inst.branches, empty)
-        for t, (agent, cid, branch, held) in enumerate(self.moves, 1):
-            pools = dict(pools)
-            pools[branch] = add(pools[branch], cid)
-            yield t, agent, cid, "held" if held else "rejected", pools
-
-    @cached_property
+    @property
     def steps(self) -> tuple[ComStep, ...]:
-        """The steps of a finished run, built from the moves when first
-        read: step t's ``pools`` map every branch to the contracts proposed
-        to it in steps 1..t."""
-        return tuple(ComStep(*step) for step in self._replay(frozenset(), lambda pool, cid: pool | {cid}))
+        """The run's steps so far, rebuilt from :meth:`to_json` on every read."""
+        return tuple(ComStep(**step) for step in self.to_json()["steps"])
 
-    @cached_property
+    @property
     def seats(self) -> dict[SlotId, ContractId]:
-        """The seat ledger of a finished run, occupied seat -> contract: the
-        merge of the branches' :attr:`~sspwct.choice.ChoiceResult.seats`,
-        built when first read."""
+        """The run's seat ledger, occupied seat -> contract: the merge of the
+        branches' latest :attr:`~sspwct.choice.ChoiceResult.seats`, rebuilt
+        on every read."""
         return {slot: cid for result in self.choices.values() for slot, cid in result.seats.items()}
 
     def to_json(self) -> dict:
-        """The steps with their pools as sorted lists, replayed from the
-        moves, so steps share the lists of the pools they did not grow."""
-        steps = [
-            {"t": t, "agent": agent, "contract": cid, "verdict": verdict, "pools": pools}
-            for t, agent, cid, verdict, pools in self._replay([], lambda pool, cid: sorted([*pool, cid]))
-        ]
+        """The run's one replay of its moves: step t's ``pools`` map every
+        branch to the sorted contracts proposed to it in steps 1..t, and a
+        step shares the lists of the pools it did not grow."""
+        pools, steps = dict.fromkeys(self.inst.branches, []), []
+        for t, (agent, cid, branch, held) in enumerate(self.moves, 1):
+            pools = {**pools, branch: sorted([*pools[branch], cid])}
+            verdict = "held" if held else "rejected"
+            steps.append({"t": t, "agent": agent, "contract": cid, "verdict": verdict, "pools": pools})
         return {"steps": steps, "outcome": sorted(self.outcome)}
 
     def fork(self, agent: AgentId, ranking: Iterable[ContractId]) -> ComState:

@@ -167,6 +167,30 @@ class TestVerify:
         )
 
 
+@pytest.mark.parametrize("content, argv, named", [
+    pytest.param(None, ("verify", "{inst}", "{outcome}"), "cannot read outcome {outcome}: [Errno 2]", id="missing"),
+    pytest.param(b'{"assignment": [', ("verify", "{inst}", "{outcome}"), "cannot read outcome {outcome}: Expecting",
+                 id="malformed"),
+    pytest.param(b"\xff\xfe{}", ("verify", "{inst}", "{outcome}"), "cannot read outcome {outcome}: 'utf-8' codec",
+                 id="undecodable"),
+    pytest.param(b"[" * 100_000, ("verify", "{inst}", "{outcome}"),
+                 "cannot read outcome {outcome}: arrays or objects nested too deeply", id="too-deep"),
+    pytest.param(b'["x"]', ("verify", "{inst}", "{outcome}"),
+                 "outcome {outcome}: expected an object with an 'assignment' (or 'outcome') array", id="array"),
+    pytest.param(b'{"assignment": "x"}', ("verify", "{inst}", "{outcome}"),
+                 "outcome {outcome}: 'assignment' must be an array of contract ids", id="assignment-string"),
+    pytest.param(None, ("oracle", "{inst}", "--gen"), "give either an instance file or --gen, not both",
+                 id="oracle-file-and-gen"),
+])
+def test_rejected_outcome_files_and_oracle_arguments_exit_2(tmp_path, capsys, content, argv, named):
+    paths = {"inst": tmp_path / "inst.json", "outcome": tmp_path / "outcome.json"}
+    write_contested_instance(paths["inst"])
+    if content is not None:
+        paths["outcome"].write_bytes(content)
+    code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2 and out == "" and named.format(**paths) in err
+
+
 class TestOracle:
     def test_generated_batch_all_suites_green(self, capsys):
         code, out, _ = run_cli(

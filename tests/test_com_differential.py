@@ -40,7 +40,8 @@ def test_traces_match_reference(batch):
             got = cumulative_offer(inst, policy=policy, seed=seed)
             want = ref.cumulative_offer(inst, policy=policy, seed=seed)
             assert [tuple(s) for s in want.steps] == [
-                (s.t, s.agent, s.contract, s.verdict, s.pools) for s in got.steps
+                (s.t, s.agent, s.contract, s.verdict, {b: frozenset(p) for b, p in s.pools.items()})
+                for s in got.steps
             ], (cfg.seed + i, policy, seed)
             assert got.to_json() == ref.trace_to_json(want), (cfg.seed + i, policy, seed)
             steps += len(got.steps)

@@ -3,8 +3,10 @@ recorded in ``tests/golden/``, must come back unchanged.
 
 The market is ``gen.json`` (12 agents, 3 branches, capacities 2-4, mixed
 transfer bits), itself the recorded output of the ``gen`` case; ``verify``
-reads the recorded ``run`` output.  To record the files afresh, run
-``PYTHONPATH=src python tests/test_golden.py``.
+reads the recorded ``run`` output.  ``experiment-3-chain`` reads the
+``gen-chain`` market, on which flipping (b03, 4) runs the improvement
+chain walk that ``gen.json``'s theorem-3 experiment never reaches.  To
+record the files afresh, run ``PYTHONPATH=src python tests/test_golden.py``.
 """
 import contextlib
 import io
@@ -26,6 +28,10 @@ CASES = {
     "verify": ["verify", MARKET, str(GOLDEN / "run.json")],
     **{f"experiment-{t}": ["experiment", MARKET, "--theorem", str(t)] for t in (3, 4, 5, 6)},
     "oracle": ["oracle", "--gen", "--count", "5", "--suite", "all", "--seed", "7"],
+    "gen-chain": ["gen", "--seed", "37", "--agents", "16", "--branches", "3", "--cap-min", "4", "--cap-max", "6",
+                  "--density", "0.4"],
+    "experiment-3-chain": ["experiment", str(GOLDEN / "gen-chain.json"), "--theorem", "3", "--branch", "b03",
+                           "--slot", "4"],
 }
 
 
@@ -50,8 +56,8 @@ def test_golden_files_stay_small():
 
 
 def record() -> None:
-    """Write every case's stdout and exit code; ``gen`` first, since the
-    other cases read its output as their market."""
+    """Write every case's stdout and exit code; each ``gen`` case before
+    the cases that read its output as their market."""
     GOLDEN.mkdir(exist_ok=True)
     codes = {}
     for name, argv in CASES.items():

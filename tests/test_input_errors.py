@@ -11,7 +11,7 @@ import pytest
 
 from sspwct import cli, comparative, generator, mechanism, oracles
 from sspwct.cli import main
-from sspwct.model import InputError, ParseError, serialize_instance
+from sspwct.model import Contract, InputError, ParseError, SlotId, serialize_instance
 
 from conftest import branch, make_instance
 
@@ -32,6 +32,10 @@ INTERNAL_FAULTS = [
     comparative.PreconditionUnmet,
     comparative.ImprovementChainError,
 ]
+
+
+def _added(cid, agent, branch_id, terms="t", pref=0, seats=None):
+    return comparative.AddedContract(Contract(cid, agent, branch_id, terms), pref, seats or {})
 
 
 def _raising(exc_type):
@@ -111,6 +115,33 @@ RAISE_SITES = [
         "unknown mode 'nope'",
         None,
         id="apply_additions-mode",
+    ),
+    pytest.param(
+        lambda: comparative.apply_additions(MARKET, [_added("z", "A", "nope")], comparative.MODE_BOTTOM),
+        "contract z references unknown branch nope",
+        None,
+        id="apply_additions-branch",
+    ),
+    pytest.param(
+        lambda: comparative.apply_additions(MARKET, [_added("z", "A", "b", pref=1)], comparative.MODE_BOTTOM),
+        "preference position 1 out of range for A",
+        None,
+        id="apply_additions-preference-position",
+    ),
+    pytest.param(
+        lambda: comparative.apply_additions(
+            MARKET, [_added("z", "A", "b", seats={SlotId("b", "original", 1): 2})], comparative.MODE_SINGLE_AGENT
+        ),
+        "position 2 out of range for slot b:o1",
+        None,
+        id="apply_additions-slot-position",
+    ),
+    pytest.param(
+        lambda: comparative.apply_additions(MARKET, [_added("z", "A", "b", terms="x")], comparative.MODE_BOTTOM),
+        "additions produced an invalid instance: contract z: duplicate (agent, branch, terms) triple "
+        "('A', 'b', 'x')",
+        None,
+        id="apply_additions-repeated-triple",
     ),
     pytest.param(
         lambda: mechanism.cumulative_offer(MARKET, policy="nope"),

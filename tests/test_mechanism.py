@@ -57,8 +57,8 @@ def replay_trace(inst, trace):
         chosen = branch_choice(inst, b, new_pool).chosen
         assert step.verdict == ("held" if step.contract in chosen else "rejected")
         for other, pool in step.pools.items():
-            assert pool >= pools[other]  # pools only grow
-        pools = dict(step.pools)
+            assert frozenset(pool) >= pools[other]  # pools only grow
+        pools = {other: frozenset(pool) for other, pool in step.pools.items()}
         rejected |= new_pool - chosen
     final = frozenset().union(
         *(branch_choice(inst, b, pools[b]).chosen for b in inst.branches)
@@ -142,7 +142,7 @@ class TestCumulativeOffer:
         inst = generate_instance(GeneratorConfig(seed=3400, agents=200, branches=10, capacity=(15, 15)))
         cumulative_offer(inst)  # warm the instance's cached lookups
         built = []
-        monkeypatch.setattr(mechanism, "ComStep", lambda *args: built.append(args) or ComStep(*args))
+        monkeypatch.setattr(mechanism, "ComStep", lambda **step: built.append(step) or ComStep(**step))
         tracemalloc.start()
         try:
             trace = cumulative_offer(inst)
@@ -151,8 +151,9 @@ class TestCumulativeOffer:
             tracemalloc.stop()
         assert retained < 1_000_000
         assert built == []
-        assert len(trace.steps) == len(trace.moves) == len(built) > 500
-        assert trace.steps[-1].pools.keys() == inst.branches.keys()
+        steps = trace.steps
+        assert len(steps) == len(trace.moves) == len(built) > 500
+        assert steps[-1].pools.keys() == inst.branches.keys()
 
 
 def snapshot(state):
@@ -177,6 +178,14 @@ class TestComState:
         state.run()  # resuming finishes the run a single call makes
         full = cumulative_offer(inst)
         assert state.moves == full.moves and state.outcome == full.outcome
+
+    def test_views_read_on_a_paused_run_follow_it_when_it_resumes(self):
+        inst, agent, state = self.paused()
+        assert len(state.steps) == len(state.moves)
+        paused_seats = state.seats
+        state.run()
+        assert len(state.steps) == len(state.moves)
+        assert state.seats == cumulative_offer(inst).seats != paused_seats
 
     def test_cumulative_offer_returns_its_finished_state(self):
         run = cumulative_offer(generate_instance(GeneratorConfig(seed=41, agents=8)))

@@ -18,6 +18,7 @@ from sspwct.model import (
     serialize_instance,
     validate_instance,
 )
+from sspwct.cli import main
 from sspwct.generator import LOCATION_POLICIES, GeneratorConfig, generate_instance
 
 from conftest import MISSING_SEATS, branch, make_instance, seat_id
@@ -341,6 +342,46 @@ def test_validation_rejects_what_the_parser_rejects(inst, message):
     assert message in validate_instance(inst)
     with pytest.raises(ParseError):
         parse_instance(serialize_instance(inst))
+
+
+def _two_seats(**fields):
+    cfg = {"id": "b", "n": 2, "location": (1, 2), "transfer": (0, 0), "original_priorities": ((), ()),
+           "shadow_priorities": ((), ()), **fields}
+    return Instance((), {}, {"b": BranchConfig(**cfg)})
+
+
+@pytest.mark.parametrize("inst, message, parses", [
+    pytest.param(make_instance([("x", "A", "b"), ("x", "B", "b")], {"A": (), "B": ()}, [branch()]),
+                 "contract x: duplicate contract id", True, id="duplicate-id"),
+    pytest.param(Instance((Contract("x", "A", "b", "t"), Contract("y", "A", "b", "t")), {"A": ("x", "y")},
+                          {"b": branch()}),
+                 "contract y: duplicate (agent, branch, terms) triple ('A', 'b', 't')", True,
+                 id="duplicate-triple"),
+    # the file format keys a branch by its config's id, so only a library
+    # caller can build this one
+    pytest.param(Instance((), {}, {"b": branch(bid="c")}), "branch b: config id mismatch (c)", False,
+                 id="id-mismatch"),
+    pytest.param(_two_seats(n=0, location=(), transfer=(), original_priorities=(), shadow_priorities=()),
+                 "branch b: capacity n must be positive (n=0)", True, id="n-zero"),
+    pytest.param(_two_seats(location=(1,)), "branch b: location vector has length 1, expected 2", True,
+                 id="location-length"),
+    pytest.param(_two_seats(transfer=(0,)), "branch b: transfer vector has length 1, expected 2", True,
+                 id="transfer-length"),
+    pytest.param(_two_seats(original_priorities=((),)), "branch b: expected 2 original priority orders", True,
+                 id="original-count"),
+    pytest.param(_two_seats(shadow_priorities=((),)), "branch b: expected 2 shadow priority orders", True,
+                 id="shadow-count"),
+    pytest.param(_two_seats(location=(1, 3)),
+                 "branch b: location upper bound l_k <= n violated at k=2 (l_k=3)", True, id="location-upper"),
+])
+def test_validation_names_each_structural_violation(inst, message, parses, tmp_path, capsys):
+    assert message in validate_instance(inst)
+    if parses:
+        path = tmp_path / "invalid.json"
+        path.write_text(serialize_instance(inst))
+        code = main(["run", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "") and f"  {message}\n" in err
 
 
 def test_validation_rejects_a_preference_agent_the_parser_would_retype():
