@@ -330,16 +330,25 @@ def _split_ranking(ranking: Sequence[ContractId], agent: AgentId, inst: Instance
 def is_priority_improvement(base: Instance, improved: Instance, agent: AgentId) -> bool:
     """Pairwise check of the two improvement conditions on every slot:
     the agent's contracts only gain priority (and stay acceptable), while
-    other agents' contracts keep their relative order and acceptability."""
+    other agents' contracts keep their relative order and acceptability.
+    A seat table without n rows on either side is no improvement; a shared
+    branch config or an equal seat ranking meets both, and is not split."""
     if set(base.branches) != set(improved.branches):
         return False
     for b, cfg in base.branches.items():
         new_cfg = improved.branches[b]
-        if (cfg.n, cfg.location, cfg.transfer) != (new_cfg.n, new_cfg.location, new_cfg.transfer):
+        if (cfg.n, cfg.location, cfg.transfer) != (new_cfg.n, new_cfg.location, new_cfg.transfer) or any(
+            (len(c.original_priorities), len(c.shadow_priorities)) != (c.n, c.n) for c in (cfg, new_cfg)
+        ):
             return False
-        for slot in cfg.slots():
-            old_others, old_above = _split_ranking(cfg.priority(slot), agent, base)
-            new_others, new_above = _split_ranking(new_cfg.priority(slot), agent, base)
+        if new_cfg is cfg:
+            continue
+        for old, new in zip(cfg.original_priorities + cfg.shadow_priorities,
+                            new_cfg.original_priorities + new_cfg.shadow_priorities):
+            if old == new:
+                continue
+            old_others, old_above = _split_ranking(old, agent, base)
+            new_others, new_above = _split_ranking(new, agent, base)
             if old_others != new_others or any(
                 cid not in new_above or new_above[cid] > count for cid, count in old_above.items()
             ):
@@ -360,43 +369,42 @@ def generate_improvement(inst: Instance, agent: AgentId, seed: int = 0) -> Insta
     mine: dict[BranchId, list[ContractId]] = {}
     for cid in inst.contracts_of_agent.get(agent, ()):
         mine.setdefault(inst.contract_index[cid].branch, []).append(cid)
-    rankings = {
-        slot: list(cfg.priority(slot))
-        for b, cfg in inst.branches.items() if b in mine for slot in cfg.slots()
-    }
+    # her branches' seat rankings in ``cfg.slots()`` order; a promotion copies its row to a list
+    rows = {b: list(c.original_priorities + c.shadow_priorities) for b, c in inst.branches.items() if b in mine}
     promoted = set()
     for _ in range(moves):
         # every contract of hers below the top of a ranking, or not in it
         options = [
-            (slot, cid)
-            for slot, ranking in rankings.items()
-            for cid in mine[slot.branch]
-            if ranking[:1] != [cid]
+            (b, i, cid) for b, table in rows.items() for i, ranking in enumerate(table)
+            for cid in mine[b] if cid not in ranking[:1]
         ]
         if not options:
             break
-        slot, cid = rng.choice(options)
-        ranking = rankings[slot]
+        b, i, cid = rng.choice(options)
+        ranking = rows[b][i] = list(rows[b][i])
         if cid in ranking:
             pos = ranking.index(cid)
-            ranking.remove(cid)
+            del ranking[pos]
             ranking.insert(rng.randrange(0, pos), cid)
         else:
             ranking.insert(rng.randint(0, len(ranking)), cid)
-        promoted.add(slot)
+        promoted.add(b)
     if not promoted:
         return inst
     branches = dict(inst.branches)
-    for slot in promoted:
-        branches[slot.branch] = branches[slot.branch].with_ranking(slot, rankings[slot])
-    return replace(inst, branches=branches)
+    for b in promoted:
+        cfg = branches[b]
+        k = len(cfg.original_priorities)
+        branches[b] = BranchConfig(cfg.id, cfg.n, cfg.location, cfg.transfer, rows[b][:k], rows[b][k:])
+    return Instance(inst.contracts, inst.preferences, branches)
 
 
 def check_respects_improvements(
     inst: Instance, agent: AgentId, trials: int = 20, seed: int = 0
 ) -> PropertyVerdict:
     """Raising the agent's priorities never makes her worse off under the
-    mechanism, for ``trials`` randomly generated improvements."""
+    mechanism, for ``trials`` randomly generated improvements.  A trial that
+    returns the market itself is counted and reuses the baseline's holding."""
     base_cid = holdings(inst, cumulative_offer(inst).outcome).get(agent)
 
     def witness(trial_seed: int) -> dict | None:
@@ -405,7 +413,8 @@ def check_respects_improvements(
             raise RuntimeError(
                 f"generated priority change for {agent} fails the improvement conditions"
             )
-        new_cid = holdings(inst, cumulative_offer(improved).outcome).get(agent)
+        new_cid = base_cid if improved is inst else (
+            holdings(inst, cumulative_offer(improved).outcome).get(agent))
         if not inst.prefers(agent, base_cid, new_cid):
             return None
         return {

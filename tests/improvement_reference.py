@@ -3,15 +3,18 @@ tests.
 
 These are the straightforward versions the library's single-pass ones
 replaced: the generator rebuilds the whole instance after each promotion and
-can be told how many promotions to make, and the checker filters each seat's
+can be told how many promotions to make, the checker filters each seat's
 ranking twice and recounts the other agents' contracts above each of the
-agent's contracts.  They must not be imported by ``sspwct`` itself.
+agent's contracts, and the respect-for-improvements check runs COM in full
+on every trial's market, unchanged or not.  They must not be imported by
+``sspwct`` itself.
 """
 from __future__ import annotations
 
 import random
 from typing import Sequence
 
+from sspwct import mechanism, oracles
 from sspwct.model import AgentId, ContractId, Instance
 
 
@@ -98,3 +101,31 @@ def generate_improvement(
             ranking.insert(rng.randint(0, len(ranking)), cid)
         current = current.with_branch(cfg.with_ranking(slot, ranking))
     return current
+
+
+def check_respects_improvements(
+    inst: Instance, agent: AgentId, trials: int = 20, seed: int = 0
+) -> oracles.PropertyVerdict:
+    """Each trial builds its market with :func:`generate_improvement`, checks
+    it with :func:`is_priority_improvement` and runs the library's
+    :func:`~sspwct.mechanism.cumulative_offer` on it, even when the market
+    came back unchanged."""
+    baseline = mechanism.holdings(inst, mechanism.cumulative_offer(inst).outcome).get(agent)
+
+    def witness(trial_seed: int) -> dict | None:
+        improved = generate_improvement(inst, agent, seed=trial_seed)
+        if not is_priority_improvement(inst, improved, agent):
+            raise RuntimeError(
+                f"generated priority change for {agent} fails the improvement conditions"
+            )
+        held = mechanism.holdings(inst, mechanism.cumulative_offer(improved).outcome).get(agent)
+        if not inst.prefers(agent, baseline, held):
+            return None
+        return {
+            "agent": agent,
+            "seed": trial_seed,
+            "baseline_assignment": baseline,
+            "improved_assignment": held,
+        }
+
+    return oracles._verdict("respects-improvements", map(witness, range(seed, seed + trials)))

@@ -33,6 +33,7 @@ from sspwct.oracles import (
 )
 
 import com_reference as ref
+import improvement_reference
 from conftest import branch, make_instance
 
 
@@ -99,6 +100,12 @@ def reject_odd_pools(cfg, offers, contracts):
     """Corruption: reject every offer of an odd-sized offer set."""
     offers = frozenset(offers)
     return ChoiceResult(frozenset()) if len(offers) % 2 else sspwct_choose(cfg, offers, contracts)
+
+
+#: The respects-improvements check of every agent of the corrupted
+#: strategy-proofness batch, 5 trials each, under ``sspwct_choose`` and each
+#: corrupted rule, with the fail count of its 400 agent checks.
+IMPROVEMENT_FAILS = [(sspwct_choose, 0), (choose_from_pairs, 9), (drop_lowest_id, 0), (reject_odd_pools, 18)]
 
 
 class TestMutationSensitivity:
@@ -180,6 +187,20 @@ class TestMutationSensitivity:
         # agent hold two contracts, and ``holdings`` keeps her favorite
         assert fails >= 5
 
+    @pytest.mark.parametrize("rule, fails", IMPROVEMENT_FAILS)
+    def test_improvements_oracle_matches_full_runs_under_corrupted_rules(self, monkeypatch, rule, fails):
+        # the reference builds and checks every trial the straightforward way
+        # and runs COM in full on every trial's market, the unchanged ones too
+        monkeypatch.setattr(mechanism, "sspwct_choose", rule)
+        verdicts = []
+        for inst in generate_batch(GeneratorConfig(seed=4100), 100):
+            for agent in inst.agents:
+                verdict = check_respects_improvements(inst, agent, trials=5, seed=0)
+                assert verdict == improvement_reference.check_respects_improvements(
+                    inst, agent, trials=5, seed=0)
+                verdicts.append(verdict.status)
+        assert (len(verdicts), verdicts.count("fail")) == (400, fails)
+
 
 
 #: batch and prints every verdict's JSON.
@@ -221,6 +242,23 @@ print(json.dumps(verdicts))
 """
 
 
+#: The checks of ``IMPROVEMENT_FAILS``; prints every verdict's JSON.
+_CORRUPTED_IMPROVEMENTS_SCRIPT = """
+import json
+from sspwct import mechanism
+from sspwct.generator import GeneratorConfig, generate_batch
+from sspwct.oracles import check_respects_improvements
+from test_oracles import IMPROVEMENT_FAILS
+
+verdicts = []
+for rule, _ in IMPROVEMENT_FAILS:
+    mechanism.sspwct_choose = rule
+    verdicts += [check_respects_improvements(inst, agent, trials=5, seed=0).to_json()
+                 for inst in generate_batch(GeneratorConfig(seed=4100), 100) for agent in inst.agents]
+print(json.dumps(verdicts))
+"""
+
+
 def _outputs_under_hash_seeds(script: str) -> list[str]:
     """The script's stdout in a fresh interpreter under hash seeds 1 and 2."""
     here = Path(__file__).resolve().parent
@@ -253,6 +291,14 @@ def test_strategy_proofness_verdicts_do_not_depend_on_the_hash_seed():
     outputs = _outputs_under_hash_seeds(_CORRUPTED_STRATEGY_PROOFNESS_SCRIPT)
     assert outputs[0] == outputs[1]
     assert outputs[0].count('"status": "fail"') >= 15
+
+
+def test_improvement_verdicts_do_not_depend_on_the_hash_seed():
+    outputs = _outputs_under_hash_seeds(_CORRUPTED_IMPROVEMENTS_SCRIPT)
+    assert outputs[0] == outputs[1]
+    statuses = [v["status"] for v in json.loads(outputs[0])]
+    assert [statuses[i:i + 400].count("fail") for i in range(0, 1600, 400)] == [
+        fails for _, fails in IMPROVEMENT_FAILS]
 
 
 def test_corrupted_rule_verdicts_are_pinned(capsys):
@@ -449,6 +495,53 @@ class TestImprovements:
             replace(inst.branches["b"], original_priorities=(("xa", "xc", "xb"),))
         )
         assert not is_priority_improvement(inst, shuffled, "A")
+
+    def test_a_seat_table_without_n_rows_is_no_improvement(self):
+        # a zip over the rows would stop at the shorter table and pass
+        inst = make_instance(
+            [("xa", "A", "b"), ("xb", "B", "b")],
+            {"A": ("xa",), "B": ("xb",)},
+            [branch(n=2, original=[("xa", "xb"), ("xb",)], shadow=[("xa",), ("xb", "xa")])],
+        )
+        cfg = inst.branches["b"]
+        for field in ("original_priorities", "shadow_priorities"):
+            short = inst.with_branch(replace(cfg, **{field: getattr(cfg, field)[:1]}))
+            for base, new in ((inst, short), (short, inst), (short, short)):
+                assert not is_priority_improvement(base, new, "A"), (field, base is inst)
+
+    @pytest.mark.parametrize("change", [{"n": 3}, {"location": (2, 2)}, {"transfer": (1, 0)}])
+    def test_equal_rankings_in_a_new_config_of_another_shape_are_no_improvement(self, change):
+        # every row compares equal, so only the config's shape can reject it
+        inst = make_instance(
+            [("xa", "A", "b")], {"A": ("xa",)}, [branch(n=2, original=[("xa",), ()], shadow=[(), ()])]
+        )
+        reshaped = inst.with_branch(replace(inst.branches["b"], **change))
+        assert not is_priority_improvement(inst, reshaped, "A")
+        assert is_priority_improvement(inst, inst.with_branch(replace(inst.branches["b"])), "A")
+
+    def test_one_demoted_row_among_equal_rows_is_no_improvement(self):
+        rows = [("xa", "xb"), ("xb", "xa"), ("xa", "xb")]
+        inst = make_instance(
+            [("xa", "A", "b"), ("xb", "B", "b")],
+            {"A": ("xa",), "B": ("xb",)},
+            [branch("b", n=3, original=rows, shadow=rows), branch("c", n=1)],
+        )
+        cfg = inst.branches["b"]
+        demoted = inst.with_branch(replace(cfg, shadow_priorities=rows[:2] + [("xb", "xa")]))
+        assert not is_priority_improvement(inst, demoted, "A")
+        assert is_priority_improvement(inst, demoted, "B")
+
+    @pytest.mark.parametrize("agent", ["A", "B"])
+    def test_a_trial_that_returns_the_market_runs_no_com_and_counts(self, monkeypatch, agent):
+        # A tops every ranking she could enter and B owns no contract
+        inst = make_instance(
+            [("x", "A", "b")], {"A": ("x",), "B": ()}, [branch(n=1, original=[("x",)], shadow=[("x",)])]
+        )
+        runs = []
+        com = oracles.cumulative_offer
+        monkeypatch.setattr(oracles, "cumulative_offer", lambda market: runs.append(market) or com(market))
+        verdict = check_respects_improvements(inst, agent, trials=4)
+        assert (verdict.status, verdict.instances_checked, runs) == ("pass", 4, [inst])
 
     def test_a_generated_change_that_is_no_improvement_raises(self, monkeypatch):
         # the self-check guards the generator: a demotion must never be tried
