@@ -290,12 +290,17 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _ranking_violations(label: str, ranking: Sequence[ContractId], owner_of: Mapping, owner: str,
-                        kind: str = "") -> list[str]:
+def _ranking_violations(label: str, ranking: Sequence[ContractId], owned: set, owner_of: Mapping,
+                        owner: str, kind: str = "") -> list[str]:
     """A ranking's duplicate entries, then its entries that are unknown or
-    not ``owner``'s by ``owner_of`` (contract id -> owner).  A ranking with
-    an entry that does not hash gets instead one violation per entry that is
-    not a string, so a valid ranking pays no per-entry type test."""
+    not ``owner``'s by ``owner_of`` (contract id -> owner), which gives
+    ``owner`` the ids ``owned``.  A ranking with an entry that does not hash
+    gets instead one violation per entry that is not a string."""
+    try:
+        if owned.issuperset(ranking) and len(set(ranking)) == len(ranking):
+            return []
+    except TypeError:
+        pass
     seen: set[ContractId] = set()
     duplicates, entries = [], []
     try:
@@ -314,6 +319,14 @@ def _ranking_violations(label: str, ranking: Sequence[ContractId], owner_of: Map
     return duplicates + entries
 
 
+def _ids_by_owner(owner_of: Mapping) -> dict:
+    """``owner_of`` (contract id -> owner) inverted: each owner's set of ids."""
+    ids: dict = {}
+    for cid, owner in owner_of.items():
+        ids.setdefault(owner, set()).add(cid)
+    return ids
+
+
 def validate_instance(inst: Instance) -> list[str]:
     """Check every structural invariant; returns all violations found, as
     :func:`outcome_violations` does.
@@ -326,6 +339,10 @@ def validate_instance(inst: Instance) -> list[str]:
     callers decide whether to proceed, and a contract field of the wrong
     kind, or a ranking entry that does not hash, is a violation, never a
     ``TypeError``.
+
+    A valid ranking costs two set operations: one that its entries are its
+    owner's contract ids and one that none repeats.  Only a ranking that
+    fails them is walked entry by entry, to word each violation.
     """
     v: list[str] = []
 
@@ -358,10 +375,12 @@ def validate_instance(inst: Instance) -> list[str]:
         if agent not in inst.preferences:
             v.append(f"agent {agent}: owns contracts but has no preference record")
 
+    ids_of_agent, ids_of_branch, no_ids = _ids_by_owner(agent_of), _ids_by_owner(branch_of), set()
     for agent, ranking in inst.preferences.items():
         if not isinstance(agent, str):
             v.append(f"preference {agent}: agent must be a string (got {agent!r})")
-        v.extend(_ranking_violations(f"preference {agent}", ranking, agent_of, agent))
+        v.extend(_ranking_violations(f"preference {agent}", ranking, ids_of_agent.get(agent, no_ids),
+                                     agent_of, agent))
 
     for b, cfg in inst.branches.items():
         if cfg.id != b:
@@ -397,8 +416,9 @@ def validate_instance(inst: Instance) -> list[str]:
                 v.append(f"branch {b}: transfer bit at k={k} must be 0 or 1 (got {bit!r})")
         if len(cfg.original_priorities) != cfg.n or len(cfg.shadow_priorities) != cfg.n:
             continue
+        owned = ids_of_branch.get(b, no_ids)
         for slot in cfg.slots():
-            v.extend(_ranking_violations(f"slot {slot}", cfg.priority(slot), branch_of, b, "branch "))
+            v.extend(_ranking_violations(f"slot {slot}", cfg.priority(slot), owned, branch_of, b, "branch "))
 
     return v
 
@@ -457,7 +477,7 @@ def _read(value: Any, kind: Any, where: str) -> Any:
         item = kind[0]
         if type(item) is tuple:
             return tuple([_read(row, item, f"{where}[{k}]") for k, row in enumerate(value)])
-        if all(type(x) is item for x in value):
+        if {*map(type, value)} <= {item}:
             return tuple(value)
     raise ParseError(f"{where}: expected {_EXPECTED[kind]}")
 
@@ -506,12 +526,18 @@ def parse_instance(text: str | bytes) -> Instance:
     Structural problems, unknown fields included, raise :class:`ParseError`
     naming the field; semantic invariants are left to :func:`validate_instance`.
     Equal id strings are one object in the returned instance.
+
+    Bytes are decoded and dropped before the JSON parse, and the text is
+    dropped once the document is built.  CPython 3.11 and later hand call
+    arguments over to the callee's frame, so a caller that passes
+    ``fh.read()`` holds the file's text once, never bytes and text beside
+    the document.
     """
     try:
-        doc = json.loads(
-            text.decode("utf-8") if isinstance(text, bytes) else text,
-            object_pairs_hook=_sharing_strings(),
-        )
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        doc = json.loads(text, object_pairs_hook=_sharing_strings())
+        del text
     except ValueError as exc:  # undecodable bytes as well as malformed JSON
         raise ParseError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
