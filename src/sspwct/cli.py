@@ -113,9 +113,9 @@ def _generator_config(args: argparse.Namespace) -> generator.GeneratorConfig:
     )
 
 
-def _require_count(count: int) -> None:
-    if count < 1:
-        raise InputError(f"--count must be at least 1 (got {count})")
+def _require_at_least(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise InputError(f"{flag} must be at least {least} (got {value})")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -130,6 +130,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    _require_at_least("--bound", args.bound, 0)
     inst = _load_instance(args.instance)
     outcome = _load_outcome(args.outcome, inst)
     report = stability_report(inst, outcome, bound=args.bound)
@@ -153,8 +154,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if not suites:
         raise InputError("--suite names no suite")
     oracles.requested_suites(suites)
+    _require_at_least("--bound", args.bound, 0)
     if args.gen:
-        _require_count(args.count)
+        _require_at_least("--count", args.count, 1)
         instances = generator.generate_batch(_generator_config(args), args.count)
     else:
         instances = [_load_instance(args.instance)]
@@ -220,7 +222,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         _emit(payload)
         return EXIT_FAIL_VERDICT if report.verdict == comparative.VIOLATES else EXIT_OK
 
-    _require_count(args.count)
+    _require_at_least("--count", args.count, 1)
     mode = comparative.MODE_BOTTOM if args.theorem == 5 else comparative.MODE_SINGLE_AGENT
     additions = comparative.random_added_contracts(
         inst, rng, mode, count=args.count, agent=args.agent

@@ -273,10 +273,21 @@ class Instance:
         prefs[agent] = ranking
         return replace(self, preferences=prefs)
 
+    def with_branches(self, branches: Mapping[BranchId, BranchConfig]) -> "Instance":
+        """This market with ``branches`` as its branch table.  Its contracts
+        and preferences are the same, so the copy shares those of this
+        one's ``contract_index``, ``agents``, ``contracts_of_agent`` and
+        ``_pref_rank`` that are built, and ``contracts_of_branch`` when the
+        branch ids are the same."""
+        inst = replace(self, branches=branches)
+        shared = ["contract_index", "agents", "contracts_of_agent", "_pref_rank"]
+        if inst.branches.keys() == self.branches.keys():
+            shared.append("contracts_of_branch")
+        inst.__dict__.update((name, self.__dict__[name]) for name in shared if name in self.__dict__)
+        return inst
+
     def with_branch(self, cfg: BranchConfig) -> "Instance":
-        branches = dict(self.branches)
-        branches[cfg.id] = cfg
-        return replace(self, branches=branches)
+        return self.with_branches({**self.branches, cfg.id: cfg})
 
     def with_transfer_bit(self, branch: BranchId, k: int, bit: int) -> "Instance":
         cfg = self.branches[branch]

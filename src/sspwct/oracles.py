@@ -13,12 +13,19 @@ witness can be replayed through the public API to reproduce the violation.
 The checks that take a ``rule`` accept any callable with the signature of
 ``completion_choose``; tests exploit this to confirm that each oracle
 actually fires on deliberately corrupted rules.
+
+The checks of one :func:`run_suite_on_instance` call share the work they
+repeat on its instance (see :class:`_Shared`): the truthful ``lex`` run,
+and one choice table per (config, rule) that holds the rule's choice from
+every offer set, indexed by the set's bitmask.  A check called on its own
+does its own work.
 """
 from __future__ import annotations
 
 import random
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 from itertools import combinations, permutations
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -32,7 +39,7 @@ from .mechanism import (
     holdings,
     stability_report,
 )
-from .model import AgentId, BranchConfig, BranchId, Contract, ContractId, InputError, Instance
+from .model import AgentId, BranchConfig, BranchId, Contract, ContractId, InputError, Instance, Outcome
 
 ChoiceRule = Callable[[BranchConfig, Iterable[ContractId], Mapping[ContractId, Contract]], ChoiceResult]
 
@@ -88,18 +95,54 @@ def merge_verdicts(name: str, verdicts: Sequence[PropertyVerdict]) -> PropertyVe
     return replace(merged, instances_checked=sum(v.instances_checked for v in verdicts))
 
 
-def _choices(
-    inst: Instance, cfg: BranchConfig, bound: int, what: str, rule: ChoiceRule
-) -> Iterator[tuple[frozenset, frozenset]]:
-    """Every offer set, each subset of the branch's contracts by size, then
-    lexicographically, with what ``rule`` chooses from it; the bound is
-    checked before the first one.  Its ``dict`` is the choice table of the
-    checks that look up neighbouring offer sets."""
-    universe = branch_universe(inst, cfg.id, bound, what)
+def _offer_sets(universe: Sequence[ContractId]) -> Iterator[tuple[int, tuple[ContractId, ...]]]:
+    """Every offer set, each subset of the branch's contracts ``universe``
+    (in id order) by size, then lexicographically, as its bitmask, where
+    bit i stands for ``universe[i]``, and its contracts in id order."""
+    bits = [1 << i for i in range(len(universe))]
     for size in range(len(universe) + 1):
-        for combo in combinations(universe, size):
-            offers = frozenset(combo)
-            yield offers, rule(cfg, offers, inst.contract_index).chosen
+        yield from zip(map(sum, combinations(bits, size)), combinations(universe, size))
+
+
+class _Shared:
+    """The work on one instance that the checks of one
+    :func:`run_suite_on_instance` call share, each piece done on first use:
+    the truthful ``lex`` outcome and one choice table per (config, rule).
+    It lives only as long as that call."""
+
+    def __init__(self, inst: Instance) -> None:
+        self.inst = inst
+        self.tables = {}  # (config, rule) -> its choice table
+
+    @cached_property
+    def truthful_outcome(self) -> Outcome:
+        return cumulative_offer(self.inst).outcome
+
+    def table(
+        self, cfg: BranchConfig, bound: int, what: str, rule: ChoiceRule
+    ) -> tuple[tuple[ContractId, ...], list[frozenset]]:
+        """The branch's contracts, checked against ``bound`` first (see
+        :func:`~sspwct.mechanism.branch_universe`), and what ``rule``
+        chooses at ``cfg`` from each of their offer sets (see
+        :func:`_offer_sets`), indexed by its bitmask, each chosen set as the
+        rule returned it."""
+        universe = branch_universe(self.inst, cfg.id, bound, what)
+        if (cfg, rule) not in self.tables:
+            table = [frozenset()] * (1 << len(universe))
+            for mask, offers in _offer_sets(universe):
+                table[mask] = rule(cfg, frozenset(offers), self.inst.contract_index).chosen
+            self.tables[cfg, rule] = table
+        return universe, self.tables[cfg, rule]
+
+
+_SHARED = ContextVar("_SHARED", default=None)  # the running suite's _Shared
+
+
+def _shared(inst: Instance) -> _Shared:
+    """The running suite's shared work when it runs on ``inst``; else fresh
+    work, so that a check called on its own does its own."""
+    shared = _SHARED.get()
+    return shared if shared is not None and shared.inst is inst else _Shared(inst)
 
 
 # -- choice-rule properties --
@@ -115,18 +158,18 @@ def check_completion(
     """For every offer set, the completion either agrees with the base rule
     or holds two contracts of one agent."""
     cfg = inst.branches[branch]
-    choices = (
-        (offers, base, completion_rule(cfg, offers, inst.contract_index).chosen)
-        for offers, base in _choices(inst, cfg, bound, "the completion check", rule)
-    )
+    shared = _shared(inst)
+    universe, base = shared.table(cfg, bound, "the completion check", rule)
+    _, completion = shared.table(cfg, bound, "the completion check", completion_rule)
     return _verdict("completion", (
         {
             "branch": branch,
-            "offers": sorted(offers),
-            "chosen": sorted(base),
+            "offers": list(offers),
+            "chosen": sorted(base[m]),
             "completion": sorted(comp),
-        } if comp != base and len({inst.contract_index[c].agent for c in comp}) == len(comp) else None
-        for offers, base, comp in choices
+        } if comp != base[m] and len({inst.contract_index[c].agent for c in comp}) == len(comp) else None
+        for m, offers in _offer_sets(universe)
+        for comp in [completion[m]]
     ))
 
 
@@ -138,20 +181,19 @@ def check_substitutability(
 ) -> PropertyVerdict:
     """Once rejected, always rejected: z out of C(Y + z) implies z out of
     C(Y + z + z'), for every Y, z, z'."""
-    table = dict(_choices(inst, inst.branches[branch], bound, "the substitutability check", rule))
-    universe = inst.contracts_of_branch.get(branch, ())
+    universe, table = _shared(inst).table(inst.branches[branch], bound, "the substitutability check", rule)
+    positions = range(len(universe))
     return _verdict("substitutability", (
         {
             "branch": branch,
-            "base_offers": sorted(offers),
-            "rejected": z,
-            "added": z2,
-            "chosen_after": sorted(table[offers | {z2}]),
-        } if z in table[offers | {z2}] else None
-        for offers, chosen in table.items()
-        for z in sorted(offers - chosen)
-        for z2 in universe
-        if z2 not in offers
+            "base_offers": list(offers),
+            "rejected": universe[z],
+            "added": universe[z2],
+            "chosen_after": sorted(table[m | 1 << z2]),
+        } if universe[z] in table[m | 1 << z2] else None
+        for m, offers in _offer_sets(universe)
+        for z in positions if m >> z & 1 and universe[z] not in table[m]
+        for z2 in positions if not m >> z2 & 1
     ))
 
 
@@ -162,17 +204,17 @@ def check_irc(
     rule: ChoiceRule = completion_choose,
 ) -> PropertyVerdict:
     """Dropping a rejected contract never changes the chosen set."""
-    table = dict(_choices(inst, inst.branches[branch], bound, "the IRC check", rule))
+    universe, table = _shared(inst).table(inst.branches[branch], bound, "the IRC check", rule)
     return _verdict("irc", (
         {
             "branch": branch,
-            "offers": sorted(offers),
-            "removed": x,
-            "chosen": sorted(chosen),
-            "chosen_without": sorted(table[offers - {x}]),
-        } if table[offers - {x}] != chosen else None
-        for offers, chosen in table.items()
-        for x in sorted(offers - chosen)
+            "offers": list(offers),
+            "removed": universe[x],
+            "chosen": sorted(table[m]),
+            "chosen_without": sorted(table[m ^ 1 << x]),
+        } if table[m ^ 1 << x] != table[m] else None
+        for m, offers in _offer_sets(universe)
+        for x in range(len(universe)) if m >> x & 1 and universe[x] not in table[m]
     ))
 
 
@@ -184,17 +226,17 @@ def check_lad(
 ) -> PropertyVerdict:
     """Law of aggregate demand over one-element extensions, which implies
     the general nested-pair statement by induction."""
-    table = dict(_choices(inst, inst.branches[branch], bound, "the LAD check", rule))
+    universe, table = _shared(inst).table(inst.branches[branch], bound, "the LAD check", rule)
     return _verdict("lad", (
         {
             "branch": branch,
-            "offers": sorted(offers),
-            "removed": x,
-            "smaller_set_chose": sorted(table[offers - {x}]),
-            "larger_set_chose": sorted(chosen),
-        } if len(table[offers - {x}]) > len(chosen) else None
-        for offers, chosen in table.items()
-        for x in sorted(offers)
+            "offers": list(offers),
+            "removed": universe[x],
+            "smaller_set_chose": sorted(table[m ^ 1 << x]),
+            "larger_set_chose": sorted(table[m]),
+        } if len(table[m ^ 1 << x]) > len(table[m]) else None
+        for m, offers in _offer_sets(universe)
+        for x in range(len(universe)) if m >> x & 1
     ))
 
 
@@ -231,18 +273,16 @@ def check_slot_specific_reduction(
     with the reference slot-specific rule on every offer set."""
     cfg = inst.branches[branch]
     zeroed = replace(cfg, transfer=(0,) * cfg.n)
-    choices = (
-        (offers, ours, slot_specific_reference(zeroed, offers, inst.contract_index).chosen)
-        for offers, ours in _choices(inst, zeroed, bound, "the reduction check", sspwct_choose)
-    )
+    universe, ours = _shared(inst).table(zeroed, bound, "the reduction check", sspwct_choose)
     return _verdict("slot-specific-reduction", (
         {
             "branch": branch,
-            "offers": sorted(offers),
-            "sspwct": sorted(ours),
+            "offers": list(offers),
+            "sspwct": sorted(ours[m]),
             "reference": sorted(reference),
-        } if ours != reference else None
-        for offers, ours, reference in choices
+        } if ours[m] != reference else None
+        for m, offers in _offer_sets(universe)
+        for reference in [slot_specific_reference(zeroed, offers, inst.contract_index).chosen]
     ))
 
 
@@ -277,7 +317,7 @@ def check_strategy_proofness(inst: Instance) -> PropertyVerdict:
                 f"agent {agent} has {len(owned)} contracts; misreport enumeration is "
                 f"exhaustive and capped at {MISREPORT_BOUND}"
             )
-    truthful = holdings(inst, cumulative_offer(inst).outcome)
+    truthful = holdings(inst, _shared(inst).truthful_outcome)
 
     def deviations() -> Iterator[tuple[AgentId, tuple[ContractId, ...], ContractId | None]]:
         state = ComState(inst)
@@ -396,7 +436,7 @@ def generate_improvement(inst: Instance, agent: AgentId, seed: int = 0) -> Insta
         cfg = branches[b]
         k = len(cfg.original_priorities)
         branches[b] = BranchConfig(cfg.id, cfg.n, cfg.location, cfg.transfer, rows[b][:k], rows[b][k:])
-    return Instance(inst.contracts, inst.preferences, branches)
+    return inst.with_branches(branches)
 
 
 def check_respects_improvements(
@@ -405,7 +445,7 @@ def check_respects_improvements(
     """Raising the agent's priorities never makes her worse off under the
     mechanism, for ``trials`` randomly generated improvements.  A trial that
     returns the market itself is counted and reuses the baseline's holding."""
-    base_cid = holdings(inst, cumulative_offer(inst).outcome).get(agent)
+    base_cid = holdings(inst, _shared(inst).truthful_outcome).get(agent)
 
     def witness(trial_seed: int) -> dict | None:
         improved = generate_improvement(inst, agent, seed=trial_seed)
@@ -435,7 +475,7 @@ def check_stability(inst: Instance, bound: int = DEFAULT_BLOCKING_BOUND) -> Prop
     survives the exhaustive blocking-set search (see
     :func:`~sspwct.mechanism.stability_report`).  The witness names the first
     of those that fails."""
-    outcome = cumulative_offer(inst).outcome
+    outcome = _shared(inst).truthful_outcome
     report = stability_report(inst, outcome, bound)
     witness: dict | None = None
     if not report.stable:
@@ -456,7 +496,7 @@ def check_stability(inst: Instance, bound: int = DEFAULT_BLOCKING_BOUND) -> Prop
 def check_order_independence(inst: Instance, seeds: Sequence[int]) -> PropertyVerdict:
     """The outcome must not depend on who proposes when: the lexicographic
     policy and every seeded random policy must produce the same set."""
-    reference = cumulative_offer(inst, policy="lex").outcome
+    reference = _shared(inst).truthful_outcome
     others = ((seed, cumulative_offer(inst, policy="random", seed=seed).outcome) for seed in seeds)
     return _verdict("order-independence", (
         {
@@ -519,8 +559,13 @@ def run_suite_on_instance(
 ) -> list[list[PropertyVerdict]]:
     """Each requested suite's checks on one instance, one list per suite
     (config checks run per branch, so a market without branches gives them
-    an empty list)."""
-    return [_SUITES[suite][1](inst, trials, seed, bound) for suite in suites]
+    an empty list).  The checks share one :class:`_Shared`, which is
+    dropped when the call returns."""
+    token = _SHARED.set(_Shared(inst))
+    try:
+        return [_SUITES[suite][1](inst, trials, seed, bound) for suite in suites]
+    finally:
+        _SHARED.reset(token)
 
 
 def run_suite(
@@ -533,8 +578,8 @@ def run_suite(
 ) -> list[PropertyVerdict]:
     """Run the requested suites (see :func:`requested_suites`) over a batch
     and merge each suite's verdicts into one (see :func:`merge_verdicts`:
-    a suite that checked nothing is ``"vacuous"``); an unknown suite name
-    and ``trials`` or ``jobs`` below 1 raise
+    a suite that checked nothing is ``"vacuous"``); an unknown suite name,
+    ``trials`` or ``jobs`` below 1 and ``bound`` below 0 raise
     :class:`~sspwct.model.InputError` before any instance runs.
 
     With ``jobs > 1`` the per-instance work fans out to a process pool of
@@ -546,6 +591,8 @@ def run_suite(
         raise InputError(f"trials must be at least 1 (got {trials})")
     if jobs < 1:
         raise InputError(f"jobs must be at least 1 (got {jobs})")
+    if bound < 0:
+        raise InputError(f"bound must be at least 0 (got {bound})")
     suites = requested_suites(suites)
     run_one = partial(run_suite_on_instance, suites=suites, trials=trials, seed=seed, bound=bound)
     workers = min(jobs, len(instances))

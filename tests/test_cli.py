@@ -273,6 +273,19 @@ class TestOracle:
         code, out, err = run_cli(capsys, "oracle", "--gen", *flags)
         assert code == 2 and out == "" and named in err
 
+    @pytest.mark.parametrize("bound", ["-1", "-7"])
+    def test_negative_bound_exits_2_before_any_instance(self, tmp_path, capsys, monkeypatch, bound):
+        # once rejected only after the whole batch was generated, as a cap
+        def no_batch(*args):
+            raise AssertionError("generated a batch for a negative bound")
+
+        monkeypatch.setattr(cli.generator, "generate_batch", no_batch)
+        missing = str(tmp_path / "missing.json")
+        for argv in (["oracle", "--gen", "--bound", bound], ["oracle", missing, "--bound", bound],
+                     ["verify", missing, missing, "--bound", bound]):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out, err) == (2, "", f"--bound must be at least 0 (got {bound})\n")
+
 
 def test_internal_value_error_is_not_an_input_error(tmp_path, capsys, monkeypatch):
     # only named input errors exit 2; a ValueError raised inside an algorithm

@@ -210,6 +210,28 @@ def test_replace_and_transfer_update_build_a_fresh_seat_plan():
     assert planned(cfg) == [("b:o1", -1), ("b:o2", -1), ("b:e2", 1)]  # the original is untouched
 
 
+def test_a_new_branch_table_shares_the_contract_side_lookups():
+    inst = make_instance(
+        [("x", "A", "b"), ("y", "B", "c")], {"A": ("x",), "B": ("y",)}, [branch("b"), branch("c")]
+    )
+    lookups = ["contract_index", "agents", "contracts_of_agent", "_pref_rank", "contracts_of_branch"]
+    built = {name: getattr(inst, name) for name in lookups}
+    flipped = inst.with_transfer_bit("b", 1, 1)
+    assert flipped.branches["b"].transfer == (1,) and flipped.branches["c"] is inst.branches["c"]
+    assert all(getattr(flipped, name) is built[name] for name in lookups)
+    # a new branch id gets its own contracts_of_branch, and the rest is shared
+    grown = inst.with_branch(branch("d"))
+    assert grown.contracts_of_branch == {"b": ("x",), "c": ("y",), "d": ()}
+    assert all(getattr(grown, name) is built[name] for name in lookups[:-1])
+    fewer = inst.with_branches({"b": inst.branches["b"]})
+    assert fewer.contracts_of_branch == {"b": ("x",), "c": ("y",)}
+    assert fewer.contracts_of_branch is not built["contracts_of_branch"]
+    # a lookup this market never built is built by the copy
+    fresh = make_instance([("x", "A", "b")], {"A": ("x",)}, [branch("b")])
+    assert "contract_index" not in vars(fresh.with_branch(branch("b", n=2)))
+    assert fresh.with_branch(branch("b", n=2)).contract_index == {"x": fresh.contracts[0]}
+
+
 def test_equality_and_hash_ignore_the_cached_seat_plan():
     planned = branch(n=2, location=(2, 2), transfer=(1, 0), original=[("x",), ()])
     fresh = branch(n=2, location=(2, 2), transfer=(1, 0), original=[("x",), ()])

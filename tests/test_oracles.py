@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -12,10 +13,11 @@ import pytest
 
 from sspwct.choice import ChoiceResult, completion_choose, sspwct_choose
 from sspwct.generator import GeneratorConfig, generate_batch, generate_instance
-from sspwct import mechanism, oracles
+from sspwct import choice, mechanism, oracles
 from sspwct.mechanism import InstanceTooLarge, cumulative_offer, holdings
-from sspwct.model import ORIGINAL, InputError
+from sspwct.model import ORIGINAL, InputError, Instance
 from sspwct.oracles import (
+    ALL_SUITES,
     check_completion,
     check_irc,
     check_lad,
@@ -30,6 +32,7 @@ from sspwct.oracles import (
     merge_verdicts,
     misreports,
     run_suite,
+    run_suite_on_instance,
 )
 
 import com_reference as ref
@@ -455,6 +458,15 @@ class TestImprovements:
             [branch(n=1, original=[("xa", "xb")])],
         )
 
+    def test_an_improved_market_shares_its_base_lookups(self):
+        inst = generate_instance(GeneratorConfig(seed=7))
+        names = ("contract_index", "agents", "contracts_of_agent", "_pref_rank", "contracts_of_branch")
+        built = [getattr(inst, name) for name in names]
+        improved = next(market for agent in inst.agents for s in range(5)
+                        if (market := generate_improvement(inst, agent, seed=s)) is not inst)
+        assert improved.branches != inst.branches
+        assert all(getattr(improved, name) is lookup for name, lookup in zip(names, built))
+
     def test_identity_when_agent_tops_everything(self):
         inst = make_instance(
             [("x", "A", "b")], {"A": ("x",)}, [branch(n=1, original=[("x",)], shadow=[("x",)])]
@@ -718,6 +730,54 @@ class TestSuiteRunner:
         with pytest.raises(InputError, match=rf"^jobs must be at least 1 \(got {jobs}\)$"):
             run_suite([inst], ["irc"], jobs=jobs)
         assert ran == []
+
+    @pytest.mark.parametrize("bound", [-1, -5])
+    def test_bound_below_zero_rejected(self, monkeypatch, bound):
+        ran = []
+        monkeypatch.setattr(oracles, "check_irc", lambda *args: ran.append(args) or [])
+        inst = generate_instance(GeneratorConfig(seed=1))
+        with pytest.raises(InputError, match=rf"^bound must be at least 0 \(got {bound}\)$"):
+            run_suite([inst], ["irc"], bound=bound)
+        assert ran == []
+        # a bound of 0 enumerates the empty offer set of a branch without contracts
+        assert run_suite([LONE], ["completion"], bound=0)[0].to_json()["instances_checked"] == 1
+
+    def test_one_suite_run_chooses_once_per_offer_set_and_runs_truthful_com_once(self, monkeypatch):
+        inst = generate_instance(GeneratorConfig(seed=7))
+        assert all(inst.contracts_of_branch[b] for b in inst.branches)
+        alone = [[v.to_json() for v in verdicts] for verdicts in run_suite_on_instance(inst, ALL_SUITES)]
+        choose, com = choice._choose, oracles.cumulative_offer
+        calls, runs = Counter(), []
+
+        def counted(cfg, offers, contracts, completion):
+            calls[cfg, frozenset(offers), completion] += 1
+            return choose(cfg, offers, contracts, completion)
+
+        monkeypatch.setattr(choice, "_choose", counted)
+        # COM's own choices go around the count, which then holds the oracles' rule calls
+        monkeypatch.setattr(mechanism, "branch_choice", lambda market, b, pool: choose(
+            market.branches[b], pool, market.contract_index, False))
+        monkeypatch.setattr(oracles, "cumulative_offer",
+                            lambda market, **kwargs: runs.append((market, kwargs)) or com(market, **kwargs))
+        shared = [[v.to_json() for v in verdicts] for verdicts in run_suite_on_instance(inst, ALL_SUITES)]
+        assert shared == alone
+        assert max(calls.values()) == 1
+        # the completion's table, and the sspwct rule's on each config and on its zeroed copy
+        sets = sum(2 ** len(inst.contracts_of_branch[b]) for b in inst.branches)
+        assert sum(completion for _, _, completion in calls) == sets
+        assert sets < len(calls) <= 3 * sets
+        lex = [kwargs for market, kwargs in runs if market is inst and kwargs.get("policy", "lex") == "lex"]
+        assert lex == [{}]
+
+    def test_no_shared_work_outlives_its_suite_run(self, monkeypatch):
+        # a memo kept on the instance would give the second run the first run's outcome
+        inst = generate_instance(GeneratorConfig(seed=7))
+        before = [[v.to_json() for v in verdicts] for verdicts in run_suite_on_instance(inst, ALL_SUITES)]
+        monkeypatch.setattr(mechanism, "sspwct_choose", reject_odd_pools)
+        again = [[v.to_json() for v in verdicts] for verdicts in run_suite_on_instance(inst, ALL_SUITES)]
+        copy = Instance(inst.contracts, inst.preferences, inst.branches)
+        fresh = [[v.to_json() for v in verdicts] for verdicts in run_suite_on_instance(copy, ALL_SUITES)]
+        assert again == fresh != before
 
     def test_all_reaches_every_check_through_its_module_global(self, monkeypatch):
         # the suite table must look each check up when it runs, so rebinding
