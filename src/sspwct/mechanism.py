@@ -80,7 +80,10 @@ class ComStep:
 
 def branch_universe(inst: Instance, branch: BranchId, bound: int, what: str) -> tuple[ContractId, ...]:
     """The branch's contracts, for an enumeration over their subsets; raises
-    :class:`InstanceTooLarge` when there are more than ``bound``."""
+    :class:`InputError` for a ``bound`` below 0 and :class:`InstanceTooLarge`
+    when there are more than ``bound``."""
+    if bound < 0:
+        raise InputError(f"bound must be at least 0 (got {bound})")
     universe = inst.contracts_of_branch.get(branch, ())
     if len(universe) > bound:
         raise InstanceTooLarge(

@@ -25,6 +25,8 @@ import json
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 ContractId = str
@@ -86,10 +88,6 @@ def _ranking(ranking: Iterable[str], field: str, key: object) -> tuple[str, ...]
     return tuple(ranking)
 
 
-def _tupled(rows: Iterable[Iterable[str]], field: str) -> tuple[tuple[str, ...], ...]:
-    return tuple([_ranking(row, field, k) for k, row in enumerate(rows)])
-
-
 @dataclass(frozen=True)
 class BranchConfig:
     """Static configuration of one branch.
@@ -112,7 +110,9 @@ class BranchConfig:
         object.__setattr__(self, "location", tuple(self.location))
         object.__setattr__(self, "transfer", tuple(self.transfer))
         for field in ("original_priorities", "shadow_priorities"):
-            object.__setattr__(self, field, _tupled(getattr(self, field), f"branches[{self.id}].{field}"))
+            where = f"branches[{self.id}].{field}"
+            rows = [_ranking(row, where, k) for k, row in enumerate(getattr(self, field))]
+            object.__setattr__(self, field, tuple(rows))
 
     def original_slot(self, k: int) -> SlotId:
         return SlotId(self.id, ORIGINAL, k)
@@ -122,9 +122,7 @@ class BranchConfig:
 
     def slots(self) -> tuple[SlotId, ...]:
         """All 2n seats, originals first, in precedence order."""
-        orig = tuple(self.original_slot(k) for k in range(1, self.n + 1))
-        shad = tuple(self.shadow_slot(k) for k in range(1, self.n + 1))
-        return orig + shad
+        return tuple(SlotId(self.id, kind, k) for kind in (ORIGINAL, SHADOW) for k in range(1, self.n + 1))
 
     def _priority_field(self, slot: SlotId) -> str:
         if slot.branch != self.id or slot.kind not in (ORIGINAL, SHADOW) or not 1 <= slot.index <= self.n:
@@ -205,7 +203,7 @@ class Instance:
     branches: Mapping[BranchId, BranchConfig]
 
     def __post_init__(self) -> None:
-        contracts = _sorted(self.contracts, "contracts", "contract ids", key=lambda c: c.id)
+        contracts = _sorted(self.contracts, "contracts", "contract ids", key=attrgetter("id"))
         preferences = _sorted(self.preferences.items(), "preferences", "agents")
         branches = _sorted(self.branches.items(), "branches", "branch ids")
         object.__setattr__(self, "contracts", tuple(contracts))
@@ -338,6 +336,31 @@ def _ids_by_owner(owner_of: Mapping) -> dict:
     return ids
 
 
+def _contract_violations(inst: Instance, v: list[str]) -> tuple[dict, dict, set]:
+    """The contract table walked contract by contract, each violation
+    appended to ``v``; returns each id's agent and branch, and the agents
+    that own contracts.  A contract with a field of the wrong kind gets only
+    its kind violations: it may not hash or sort, so it is skipped."""
+    agent_of, branch_of, owners, seen_triples = {}, {}, set(), set()
+    for c in inst.contracts:
+        kinds = [f"contract {c.id}: {field} must be {_EXPECTED[kind]} (got {getattr(c, field)!r})"
+                 for field, kind in CONTRACT_FORMAT.items() if not isinstance(getattr(c, field), kind)]
+        v += kinds
+        if kinds:
+            continue
+        if c.id in agent_of:
+            v.append(f"contract {c.id}: duplicate contract id")
+        agent_of[c.id], branch_of[c.id] = c.agent, c.branch
+        owners.add(c.agent)
+        triple = (c.agent, c.branch, c.terms)
+        if triple in seen_triples:
+            v.append(f"contract {c.id}: duplicate (agent, branch, terms) triple {triple}")
+        seen_triples.add(triple)
+        if c.branch not in inst.branches:
+            v.append(f"contract {c.id}: unknown branch {c.branch}")
+    return agent_of, branch_of, owners
+
+
 def validate_instance(inst: Instance) -> list[str]:
     """Check every structural invariant; returns all violations found, as
     :func:`outcome_violations` does.
@@ -351,40 +374,22 @@ def validate_instance(inst: Instance) -> list[str]:
     kind, or a ranking entry that does not hash, is a violation, never a
     ``TypeError``.
 
-    A valid ranking costs two set operations: one that its entries are its
-    owner's contract ids and one that none repeats.  Only a ranking that
-    fails them is walked entry by entry, to word each violation.
+    A valid contract table costs set operations over its columns: every
+    field a string, no id or (agent, branch, terms) triple repeated, every
+    branch known.  A valid ranking costs two: its entries are its owner's
+    contract ids, and none repeats.  Only a table or ranking that fails them
+    is walked, to word each violation.
     """
     v: list[str] = []
+    ids, agents, branches, terms = ([*map(attrgetter(field), inst.contracts)] for field in CONTRACT_FORMAT)
+    if ({*map(type, chain(ids, agents, branches, terms))} <= {str} and inst.branches.keys() >= {*branches}
+            and len({*ids}) == len({*zip(agents, branches, terms)}) == len(ids)):
+        agent_of, branch_of, owners = dict(zip(ids, agents)), dict(zip(ids, branches)), {*agents}
+    else:
+        agent_of, branch_of, owners = _contract_violations(inst, v)
 
-    # a contract with a field of the wrong kind gets only its kind
-    # violations: it may not hash or sort, so the checks below skip it
-    agent_of: dict[ContractId, AgentId] = {}
-    branch_of: dict[ContractId, BranchId] = {}
-    owners: set[AgentId] = set()
-    seen_triples: set[tuple[str, str, str]] = set()
-    for c in inst.contracts:
-        found = len(v)
-        for field, kind in CONTRACT_FORMAT.items():
-            value = getattr(c, field)
-            if not isinstance(value, kind):
-                v.append(f"contract {c.id}: {field} must be {_EXPECTED[kind]} (got {value!r})")
-        if len(v) > found:
-            continue
-        if c.id in agent_of:
-            v.append(f"contract {c.id}: duplicate contract id")
-        agent_of[c.id], branch_of[c.id] = c.agent, c.branch
-        owners.add(c.agent)
-        triple = (c.agent, c.branch, c.terms)
-        if triple in seen_triples:
-            v.append(f"contract {c.id}: duplicate (agent, branch, terms) triple {triple}")
-        seen_triples.add(triple)
-        if c.branch not in inst.branches:
-            v.append(f"contract {c.id}: unknown branch {c.branch}")
-
-    for agent in sorted(owners):
-        if agent not in inst.preferences:
-            v.append(f"agent {agent}: owns contracts but has no preference record")
+    v += [f"agent {agent}: owns contracts but has no preference record"
+          for agent in sorted(owners.difference(inst.preferences))]
 
     ids_of_agent, ids_of_branch, no_ids = _ids_by_owner(agent_of), _ids_by_owner(branch_of), set()
     for agent, ranking in inst.preferences.items():
@@ -474,17 +479,21 @@ BRANCH_FORMAT = {"id": str, "n": int, "location": (int,), "transfer": (int,),
 RANKING = (str,)
 #: Fields a record may omit; ``Contract.terms`` defaults to "".
 _OPTIONAL = frozenset({"terms"})
+#: The key sets a contract record may have.
+_CONTRACT_KEYS = {frozenset(CONTRACT_FORMAT), frozenset(CONTRACT_FORMAT) - _OPTIONAL}
 _EXPECTED = {str: "a string", int: "an integer", list: "an array", dict: "an object",
              (int,): "an array of integers", (str,): "an array of strings",
              ((str,),): "an array of arrays of strings"}
 
 
 def _read(value: Any, kind: Any, where: str) -> Any:
-    """``value`` checked against ``kind``, an array of a kind as a tuple.  An
-    array of arrays names its first bad row by index."""
-    if type(value) is kind:  # JSON makes no subclasses, and a bool is not an int
+    """``value`` checked against ``kind``, an array of a kind as a tuple.  A
+    tuple is an array of strings the sharing hook checked.  An array of
+    arrays names its first bad row by index."""
+    # JSON makes no subclasses, and a bool is not an int
+    if type(value) is kind or type(value) is tuple and kind in (list, RANKING):
         return value
-    if type(kind) is tuple and type(value) is list:
+    if type(kind) is tuple and type(value) in (list, tuple):
         item = kind[0]
         if type(item) is tuple:
             return tuple([_read(row, item, f"{where}[{k}]") for k, row in enumerate(value)])
@@ -513,19 +522,24 @@ def _sharing_strings() -> Callable[[list[tuple[str, Any]]], dict]:
     """A ``json.loads`` object hook for one document: each object's keys,
     its string values and the strings in its arrays and arrays of arrays
     (the format nests no deeper) are replaced by the first equal string the
-    document produced, so every id exists once.  Only ``str`` objects are
-    looked up, so no value changes type.  The recursion is a module function,
-    not a closure, so no reference cycle keeps the memo alive after the hook."""
+    document produced, so every id exists once.  A non-empty array of only
+    strings is shared in one C-level pass and handed over as a tuple, which
+    :func:`_read` takes as checked; every other value keeps its type.  The
+    recursion is a module function, not a closure, so no reference cycle
+    keeps the memo alive after the hook."""
     memo: dict[str, str] = {}
     share = memo.setdefault
-    return lambda pairs: {share(key, key): _shared(value, share) for key, value in pairs}
+    return lambda pairs: {share(key, key): share(value, value) if type(value) is str
+                          else _shared(value, share) for key, value in pairs}
 
 
 def _shared(value: Any, share: Callable[[str, str], str], depth: int = 2) -> Any:
     if type(value) is str:
         return share(value, value)
     if type(value) is list and depth:
-        value[:] = [share(x, x) if type(x) is str else _shared(x, share, depth - 1) for x in value]
+        if {*map(type, value)} == {str}:
+            return tuple(map(share, value, value))
+        value[:] = [_shared(x, share, depth - 1) for x in value]
     return value
 
 
@@ -536,7 +550,11 @@ def parse_instance(text: str | bytes) -> Instance:
 
     Structural problems, unknown fields included, raise :class:`ParseError`
     naming the field; semantic invariants are left to :func:`validate_instance`.
-    Equal id strings are one object in the returned instance.
+    Equal id strings are one object in the returned instance.  A contract
+    table whose records are objects with the fields of its format and only
+    strings as values passes three set operations and is built at once;
+    only a table that fails them is read record by record, to name the
+    first bad field.
 
     Bytes are decoded and dropped before the JSON parse, and the text is
     dropped once the document is built.  CPython 3.11 and later hand call
@@ -554,10 +572,12 @@ def parse_instance(text: str | bytes) -> Instance:
     except RecursionError as exc:
         raise ParseError("invalid JSON: arrays or objects nested too deeply") from exc
     top = _record(doc, INSTANCE_FORMAT, "top level", "")
-    contracts = [
-        Contract(**_record(rc, CONTRACT_FORMAT, f"contracts[{i}]", f"contracts[{i}]."))
-        for i, rc in enumerate(top["contracts"])
-    ]
+    rcs = top["contracts"]
+    if not ({*map(type, rcs)} <= {dict} and {*map(frozenset, rcs)} <= _CONTRACT_KEYS
+            and {*map(type, chain(*map(dict.values, rcs)))} <= {str}):
+        for i, rc in enumerate(rcs):  # raises at the first bad field
+            _record(rc, CONTRACT_FORMAT, f"contracts[{i}]", f"contracts[{i}].")
+    contracts = [Contract(**rc) for rc in rcs]
     preferences = {
         agent: _read(ranking, RANKING, f"preferences[{agent}]")
         for agent, ranking in top["preferences"].items()

@@ -5,12 +5,14 @@ replaced: it reads each field with its own call and inline type check, and
 states the fields a record may hold in one set per record.  Two of its
 messages name no single field (``contracts[i]: id, agent, branch, terms
 must be strings`` and ``branches[i]: priority fields must be arrays of
-arrays``).  It must not be imported by ``sspwct`` itself.
+arrays``).  It keeps its own copy of the string-sharing hook it was
+written against, which leaves every array a list.  It must not be imported
+by ``sspwct`` itself.
 """
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from sspwct.model import (
     BranchConfig,
@@ -19,8 +21,25 @@ from sspwct.model import (
     Instance,
     ParseError,
     _is_int,
-    _sharing_strings,
 )
+
+
+def _sharing_strings() -> Callable[[list[tuple[str, Any]]], dict]:
+    """A ``json.loads`` object hook for one document: each object's keys,
+    its string values and the strings in its arrays and arrays of arrays
+    are replaced by the first equal string the document produced.  Only
+    ``str`` objects are looked up, so no value changes type."""
+    memo: dict[str, str] = {}
+    share = memo.setdefault
+    return lambda pairs: {share(key, key): _shared(value, share) for key, value in pairs}
+
+
+def _shared(value: Any, share: Callable[[str, str], str], depth: int = 2) -> Any:
+    if type(value) is str:
+        return share(value, value)
+    if type(value) is list and depth:
+        value[:] = [share(x, x) if type(x) is str else _shared(x, share, depth - 1) for x in value]
+    return value
 
 
 def _require(obj: Mapping[str, Any], key: str, where: str) -> Any:

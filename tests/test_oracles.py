@@ -742,6 +742,23 @@ class TestSuiteRunner:
         # a bound of 0 enumerates the empty offer set of a branch without contracts
         assert run_suite([LONE], ["completion"], bound=0)[0].to_json()["instances_checked"] == 1
 
+    @pytest.mark.parametrize("bound", [-1, -5])
+    @pytest.mark.parametrize("call", [
+        pytest.param(check, id=check.__name__)
+        for check in (check_completion, check_substitutability, check_irc, check_lad, check_slot_specific_reduction)
+    ] + [
+        pytest.param(lambda inst, b, bound: check_stability(inst, bound), id="check_stability"),
+        pytest.param(lambda inst, b, bound: mechanism.stability_report(inst, cumulative_offer(inst).outcome, bound),
+                     id="stability_report"),
+        pytest.param(lambda inst, b, bound: mechanism.find_blocking_set(inst, cumulative_offer(inst).outcome, bound),
+                     id="find_blocking_set"),
+    ])
+    def test_bound_below_zero_rejected_by_every_bounded_entry_point(self, call, bound):
+        inst = generate_instance(GeneratorConfig(seed=1))
+        with pytest.raises(InputError, match=rf"^bound must be at least 0 \(got {bound}\)$") as raised:
+            call(inst, next(iter(inst.branches)), bound)
+        assert not isinstance(raised.value, InstanceTooLarge)
+
     def test_one_suite_run_chooses_once_per_offer_set_and_runs_truthful_com_once(self, monkeypatch):
         inst = generate_instance(GeneratorConfig(seed=7))
         assert all(inst.contracts_of_branch[b] for b in inst.branches)

@@ -1,11 +1,12 @@
-"""Differential tests for the set-based ranking check in ``validate_instance``.
+"""Differential tests for the set-based checks in ``validate_instance``.
 
-``sspwct.model.validate_instance`` walks a ranking entry by entry only when
-it fails two set operations; ``validate_reference`` walks every ranking.
-Both must return the same violations, with the same texts in the same order,
-on every instance the input-error tests validate, on every one-field
-mutation of ``test_parse_differential`` that parses, and on library-built
-instances with bad rankings and bad contract tables.
+``sspwct.model.validate_instance`` walks the contract table contract by
+contract, and a ranking entry by entry, only when it fails set operations;
+``validate_reference`` walks every contract and every ranking.  Both must
+return the same violations, with the same texts in the same order, on every
+instance the input-error tests validate, on every one-field mutation of
+``test_parse_differential`` that parses, and on library-built instances with
+bad rankings and with each way out of the contract table's check.
 """
 import dataclasses
 import json
@@ -96,12 +97,45 @@ LIBRARY_BUILT = [
                  id="unknown-branch"),
     pytest.param(Instance((Contract("x", 7, "b"), Contract("y", "A", ["b"])), {"A": ("x", "y")},
                           {"b": branch(original=[("y", "x")])}), id="wrong-field-kinds"),
+    *[pytest.param(Instance((dataclasses.replace(Contract("x", "A", "b"), **{field: value}),
+                             Contract("y", "A", "b", "t")), {"A": ("y", "x")}, {"b": branch(original=[("x", "y")])}),
+                   id=f"{field}-not-a-string")
+      for field, value in [("agent", 7), ("branch", ["b"]), ("terms", None)]],
+    # a contract id that is not a string cannot sort among strings, so it is alone
+    pytest.param(Instance((Contract(7, "A", "b"),), {"A": (7,)}, {"b": branch(original=[(7,)])}),
+                 id="id-not-a-string"),
+    pytest.param(make_instance([("x", "A", "b"), ("y", "B", "b"), ("z", "C", "b")], {"B": ("y",)},
+                               [branch(n=1, original=[("x", "y")])]), id="owners-without-preferences"),
+    pytest.param(make_instance([("x", "A", "b"), ("x", "B", "nope"), ("y", "A", "c")], {"A": ("x", "y")},
+                               [branch(original=[("x",)])]), id="duplicate-id-and-unknown-branches"),
+    pytest.param(Instance((Contract("w", "A", "b", "t"), Contract("x", "A", "b", "t"), Contract("y", None, "b"),
+                           Contract("z", "Z", "b")), {"A": ("w", "x")}, {"b": branch(original=[("x", "w")])}),
+                 id="duplicate-triple-kind-and-missing-preferences"),
 ]
 
 
 @pytest.mark.parametrize("inst", LIBRARY_BUILT)
 def test_library_built_instances(inst):
     _same_violations(inst, "")
+
+
+def test_a_valid_contract_table_is_never_walked(monkeypatch):
+    """A parsed size-L market passes the parser's and the validator's checks
+    on its contract table without reading or walking a single contract."""
+    text = serialize_instance(generate_instance(GeneratorConfig(seed=1, agents=800, branches=20, capacity=(30, 30))))
+    walked, read = [], []
+    walk, record = model._contract_violations, model._record
+    monkeypatch.setattr(model, "_contract_violations", lambda inst, v: walked.append(inst) or walk(inst, v))
+    monkeypatch.setattr(model, "_record", lambda obj, fields, *at: read.append(fields) or record(obj, fields, *at))
+    inst = parse_instance(text)
+    assert len(inst.contracts) > 15000 and read and all(fields is not model.CONTRACT_FORMAT for fields in read)
+    assert _same_violations(inst, "L") == [] and walked == []
+    # the spies see a table that fails its check
+    bad = dataclasses.replace(inst, contracts=inst.contracts + (inst.contracts[0],))
+    assert _same_violations(bad, "L") and walked == [bad]
+    with pytest.raises(ParseError, match=r"^contracts\[0\]\.terms: expected a string$"):
+        parse_instance(text.replace('"terms": "t1"', '"terms": 1', 1))
+    assert read[-1] is model.CONTRACT_FORMAT
 
 
 # entries a ranking edit puts in: unknown, not a string, not hashable
