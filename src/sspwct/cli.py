@@ -37,7 +37,10 @@ EXIT_FAIL_VERDICT = 3
 
 
 def _emit(payload: dict) -> None:
-    print(canonical_json(payload))
+    """Write ``payload`` and a newline to stdout as a stream: an iterator in
+    it goes out one item at a time."""
+    canonical_json(payload, sys.stdout.write)
+    sys.stdout.write("\n")
 
 
 def _load_instance(path: str) -> Instance:
@@ -123,8 +126,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     trace = cumulative_offer(inst, policy=args.policy, seed=args.seed)
     payload = {"outcome": sorted(trace.outcome)}
     if args.trace:
-        payload["trace"] = trace.to_json()["steps"]
-    del trace  # the finished run keeps its pools and counts; free them before writing
+        payload["trace"] = trace.iter_steps()
     _emit(payload)
     return EXIT_OK
 

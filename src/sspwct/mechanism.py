@@ -19,11 +19,12 @@ only the touched agents update.  ``lex`` takes its first element and
 ``random`` draws ``rng.choice`` from it (by Hirata & Kasuya's order
 independence, the outcome does not depend on the policy).  COM keeps one
 pool per branch and logs each step as one move (proposer, contract,
-branch, held); ``to_json`` is the one replay of that log into each step's
-pools.  Per branch, COM keeps only its latest choice, whose chosen set is
-the old side of the next diff; the final choices' union is the outcome,
-and their merged ledgers are the run's seat ledger.  Both views are read
-on demand, never cached, so a paused or resumed run shows its moves so far.
+branch, held); ``iter_steps`` is the one replay of that log into each
+step's pools.  Per branch, COM keeps only its latest choice, whose chosen
+set is the old side of the next diff; the final choices' union is the
+outcome, and their merged ledgers are the run's seat ledger.  Both views
+are read on demand, never cached, so a paused or resumed run shows its
+moves so far.
 
 A run is a :class:`ComState`; :func:`cumulative_offer` builds one and runs
 it to the end.  ``run(stop=agent)`` pauses a ``lex`` run once no eligible
@@ -51,7 +52,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .choice import ChoiceResult, sspwct_choose
 from .model import AgentId, BranchId, ContractId, InputError, Instance, Outcome, SlotId, outcome_violations
@@ -70,12 +71,12 @@ class InstanceTooLarge(InputError):
 
 @dataclass(frozen=True)
 class ComStep:
-    """One step of a run, as :attr:`ComState.steps` reads it off ``to_json``."""
+    """One step of a run, as :attr:`ComState.steps` reads it off ``iter_steps``."""
     t: int
     agent: AgentId
     contract: ContractId
     verdict: str  # "held" or "rejected"
-    pools: Mapping[BranchId, list]  # sorted, as in ComState.to_json
+    pools: Mapping[BranchId, list]  # sorted, as in ComState.iter_steps
 
 
 def branch_universe(inst: Instance, branch: BranchId, bound: int, what: str) -> tuple[ContractId, ...]:
@@ -134,8 +135,8 @@ class ComState:
 
     @property
     def steps(self) -> tuple[ComStep, ...]:
-        """The run's steps so far, rebuilt from :meth:`to_json` on every read."""
-        return tuple(ComStep(**step) for step in self.to_json()["steps"])
+        """The run's steps so far, rebuilt from :meth:`iter_steps` on every read."""
+        return tuple(ComStep(**step) for step in self.iter_steps())
 
     @property
     def seats(self) -> dict[SlotId, ContractId]:
@@ -144,16 +145,20 @@ class ComState:
         on every read."""
         return {slot: cid for result in self.choices.values() for slot, cid in result.seats.items()}
 
-    def to_json(self) -> dict:
-        """The run's one replay of its moves: step t's ``pools`` map every
-        branch to the sorted contracts proposed to it in steps 1..t, and a
-        step shares the lists of the pools it did not grow."""
-        pools, steps = dict.fromkeys(self.inst.branches, []), []
+    def iter_steps(self) -> Iterator[dict]:
+        """The run's one replay of its moves, one step at a time: step t's
+        ``pools`` map every branch to the sorted contracts proposed to it in
+        steps 1..t, and a step shares the lists of the pools it did not
+        grow, so a reader that keeps one step holds one step's pools."""
+        pools = dict.fromkeys(self.inst.branches, [])
         for t, (agent, cid, branch, held) in enumerate(self.moves, 1):
             pools = {**pools, branch: sorted([*pools[branch], cid])}
             verdict = "held" if held else "rejected"
-            steps.append({"t": t, "agent": agent, "contract": cid, "verdict": verdict, "pools": pools})
-        return {"steps": steps, "outcome": sorted(self.outcome)}
+            yield {"t": t, "agent": agent, "contract": cid, "verdict": verdict, "pools": pools}
+
+    def to_json(self) -> dict:
+        """The run's steps, read from :meth:`iter_steps`, and its outcome."""
+        return {"steps": list(self.iter_steps()), "outcome": sorted(self.outcome)}
 
     def fork(self, agent: AgentId, ranking: Iterable[ContractId]) -> ComState:
         """A copy of the state in which ``agent`` proposes by ``ranking``;

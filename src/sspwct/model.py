@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -225,17 +226,19 @@ class Instance:
 
     @cached_property
     def contracts_of_agent(self) -> dict[AgentId, tuple[ContractId, ...]]:
-        out: dict[AgentId, list[ContractId]] = {a: [] for a in self.agents}
-        for c in self.contracts:
-            out.setdefault(c.agent, []).append(c.id)
-        return {a: tuple(v) for a, v in out.items()}
+        return self._ids_by("agent", self.agents)
 
     @cached_property
     def contracts_of_branch(self) -> dict[BranchId, tuple[ContractId, ...]]:
-        out: dict[BranchId, list[ContractId]] = {b: [] for b in self.branches}
+        return self._ids_by("branch", self.branches)
+
+    def _ids_by(self, field: str, keys: Iterable[str]) -> dict[str, tuple[ContractId, ...]]:
+        """Each of ``keys``, then each other value of the contracts'
+        ``field``, -> the ids of the contracts with that value, in order."""
+        out: dict[str, list[ContractId]] = {key: [] for key in keys}
         for c in self.contracts:
-            out.setdefault(c.branch, []).append(c.id)
-        return {b: tuple(v) for b, v in out.items()}
+            out.setdefault(getattr(c, field), []).append(c.id)
+        return {key: tuple(ids) for key, ids in out.items()}
 
     @cached_property
     def _pref_rank(self) -> dict[AgentId, dict[ContractId, int]]:
@@ -610,38 +613,58 @@ def serialize_instance(inst: Instance) -> str:
     return canonical_json(instance_to_dict(inst)) + "\n"
 
 
-def canonical_json(value: Any) -> str:
+def canonical_json(value: Any, out: Callable[[str], object] | None = None) -> str | None:
     """The canonical JSON text of ``value``, exactly ``json.dumps(value,
-    sort_keys=True, indent=2)``; every document sspwct writes goes through
-    here.  It joins at C level instead of running json's pure-Python indent
+    sort_keys=True, indent=2)`` with every iterator in ``value`` read as an
+    array; every document sspwct writes goes through here.  Given ``out``,
+    the text goes to ``out`` instead of being returned: the text so far
+    after each item of an iterator, and the rest at the end.
+
+    It joins at C level instead of running json's pure-Python indent
     encoder: a list of strings is one join over the C string quoter, and its
     text is kept per depth, so a list object that trace steps share is
-    written once.  Other scalars and dicts with a non-string key go to
-    ``json.dumps``, so their text and errors are json's own."""
-    quote, memo = json.encoder.encode_basestring_ascii, {}
+    written once.  A memo entry holds its list, so no id is reused while the
+    entry lives.  After each item of an iterator written to ``out`` the memo
+    keeps only the lists that item read, so a stream of trace steps holds
+    one step, not the run.  Other scalars and dicts with a non-string key go
+    to ``json.dumps``, so their text and errors are json's own."""
+    quote, parts, memo, kept = json.encoder.encode_basestring_ascii, [], {}, {}
 
-    def write(v: Any, pad: str) -> str:
+    def write(v: Any, pad: str) -> None:
+        nonlocal memo, kept
         if isinstance(v, str):
-            return quote(v)
+            return parts.append(quote(v))
         inner, sep = pad + "  ", ",\n" + pad + "  "
-        if isinstance(v, (list, tuple)):
-            if not v:
-                return "[]"
-            text = memo.get((id(v), pad))  # ids stay unique: every list in value lives until we return
-            if text is None:
-                try:
-                    text = memo[id(v), pad] = f"[\n{inner}{sep.join(map(quote, v))}\n{pad}]"
-                except TypeError:  # not all strings
-                    text = f"[\n{inner}{sep.join([write(x, inner) for x in v])}\n{pad}]"
-            return text
+        if isinstance(v, (list, tuple)) and v:
+            key = id(v), pad
+            try:
+                entry = kept.get(key) or memo.get(key) or (v, f"[\n{inner}{sep.join(map(quote, v))}\n{pad}]")
+                kept[key] = entry
+                return parts.append(entry[1])
+            except TypeError:  # not all strings
+                pass
         if isinstance(v, dict) and all(isinstance(k, str) for k in v):
-            body = sep.join([f"{quote(k)}: {write(x, inner)}" for k, x in sorted(v.items())])
-            return f"{{\n{inner}{body}\n{pad}}}" if v else "{}"
-        if isinstance(v, dict):  # json converts or rejects the other keys; no string holds a newline
-            return json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n" + pad)
-        return json.dumps(v)
+            items, brackets = [(quote(k) + ": ", x) for k, x in sorted(v.items())], "{}"
+        elif isinstance(v, (list, tuple, Iterator)):
+            items, brackets = zip(repeat(""), v), "[]"
+        else:  # json converts or rejects a dict's other keys; no string holds a newline
+            return parts.append(json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n" + pad)
+                                if isinstance(v, dict) else json.dumps(v))
+        stream, lead = out and isinstance(v, Iterator), brackets[0] + "\n" + inner
+        for key, x in items:
+            parts.append(lead + key)
+            write(x, inner)
+            lead = sep
+            if stream:
+                out("".join(parts))
+                parts.clear()
+                memo, kept = kept, {}
+        parts.append(f"\n{pad}{brackets[1]}" if lead is sep else brackets)
 
     try:
-        return write(value, "")
+        write(value, "")
     finally:
         del write  # a recursive closure is a reference cycle: free the memo now, not at a full collection
+    if out is None:
+        return "".join(parts)
+    out("".join(parts))

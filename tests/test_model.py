@@ -22,6 +22,7 @@ from sspwct.model import (
 )
 from sspwct.cli import main
 from sspwct.generator import LOCATION_POLICIES, GeneratorConfig, generate_instance
+from sspwct.mechanism import cumulative_offer
 
 from conftest import MISSING_SEATS, branch, make_instance, seat_id
 
@@ -519,11 +520,22 @@ def test_generated_instances_validate_and_round_trip(seed, agents, branches, cap
 def test_writer_and_parser_leave_no_reference_cycles():
     # garbage in a cycle waits for a full collection, so a memo kept by one
     # would stay in memory after the call that built it
-    text = serialize_instance(generate_instance(GeneratorConfig(seed=5)))
+    inst = generate_instance(GeneratorConfig(seed=5))
+    text = serialize_instance(inst)
+
+    def closed(chunk):  # a reader gone mid-stream, as ``| head`` leaves stdout
+        raise BrokenPipeError
+
     gc.collect()
     gc.disable()
     try:
         assert parse_instance(text) and canonical_json({"steps": [["x", "y"], ["x"]]})
+        assert gc.collect() == 0
+        chunks = []
+        canonical_json({"trace": cumulative_offer(inst).iter_steps()}, chunks.append)
+        assert len(chunks) > 2 and gc.collect() == 0
+        with pytest.raises(BrokenPipeError):
+            canonical_json({"trace": cumulative_offer(inst).iter_steps()}, closed)
         assert gc.collect() == 0
     finally:
         gc.enable()
