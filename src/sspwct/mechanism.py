@@ -41,6 +41,10 @@ first runs every other agent to quiescence would rest on order
 independence instead, which a faulty choice rule need not have, and a
 check through it can miss such a rule's violations.)
 
+Inside :func:`memoised_choices`, which one oracle suite run enters,
+:func:`branch_choice` memoises by (config, rule, pool) at branches of at
+most 8 contracts: exact for any deterministic rule, as the fork is.
+
 Stability is verified by brute force on one path, :func:`stability_report`:
 feasibility, individual rationality and an exhaustive search over
 candidate blocking sets, feasible per branch.
@@ -50,6 +54,8 @@ from __future__ import annotations
 import copy
 import random
 from bisect import bisect_left
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
@@ -63,6 +69,17 @@ POLICY_RANDOM = "random"
 #: Candidate blocking sets are enumerated over each branch's contract
 #: universe; refuse branches larger than this.
 DEFAULT_BLOCKING_BOUND = 14
+
+# The memo is None outside memoised_choices, so run, verify and the experiments
+# never memoise.  One entry per config object of the suite's instance holds the
+# config (no id is reused while it lives) and the rule the module global named
+# (a tracer or a test that rebinds sspwct_choose starts the entry afresh), and
+# maps each pool's frozenset to its choice.  Only a branch of at most
+# _MEMO_BOUND contracts (the oracles' enumeration bound) gets one, so an entry
+# holds at most 256 pools; a larger branch's pools seldom repeat.  A trial
+# market's new configs get none: one run never offers a branch a pool twice.
+_MEMO_BOUND = 8
+_MEMO = ContextVar("_MEMO", default=None)  # id(config) -> (config, rule, {pool: result})
 
 
 class InstanceTooLarge(InputError):
@@ -95,7 +112,30 @@ def branch_universe(inst: Instance, branch: BranchId, bound: int, what: str) -> 
 
 
 def branch_choice(inst: Instance, branch: BranchId, pool: Iterable[ContractId]) -> ChoiceResult:
-    return sspwct_choose(inst.branches[branch], pool, inst.contract_index)
+    cfg, memo = inst.branches[branch], _MEMO.get()
+    entry = memo and memo.get(id(cfg))
+    if not entry:
+        return sspwct_choose(cfg, pool, inst.contract_index)
+    if entry[1] is not sspwct_choose:
+        entry = memo[id(cfg)] = cfg, sspwct_choose, {}
+    key = frozenset(pool)
+    result = entry[2].get(key)
+    if result is None:
+        result = entry[2][key] = sspwct_choose(cfg, key, inst.contract_index)
+    return result
+
+
+@contextmanager
+def memoised_choices(inst: Instance) -> Iterator[None]:
+    """Memoise :func:`branch_choice` at ``inst``'s configs in the block."""
+    token = _MEMO.set({
+        id(cfg): (cfg, sspwct_choose, {})
+        for b, cfg in inst.branches.items() if len(inst.contracts_of_branch[b]) <= _MEMO_BOUND
+    })
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
 
 
 def _relist(eligible: list[AgentId], agent: AgentId, can_propose: bool) -> None:

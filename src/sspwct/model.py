@@ -143,6 +143,14 @@ class BranchConfig:
         rows[slot.index - 1] = ranking
         return replace(self, **{field: rows})
 
+    def with_rows(self, rows: Sequence) -> "BranchConfig":
+        """A copy ranking ``rows``, n original rows then n shadow rows; it
+        takes this config's ``slot_order``, which depends only on id, n and
+        location."""
+        cfg = replace(self, original_priorities=rows[:self.n], shadow_priorities=rows[self.n:])
+        cfg.__dict__["slot_order"] = self.slot_order
+        return cfg
+
     # Derived once per config, on first use (never in __init__, so building
     # instances stays cheap).  They live outside the dataclass fields:
     # ``==`` and ``hash`` ignore them and ``dataclasses.replace`` starts empty.
@@ -269,22 +277,16 @@ class Instance:
 
     # -- functional updates --
 
-    def with_preference(self, agent: AgentId, ranking: Sequence[ContractId]) -> "Instance":
-        prefs = dict(self.preferences)
-        prefs[agent] = ranking
-        return replace(self, preferences=prefs)
-
     def with_branches(self, branches: Mapping[BranchId, BranchConfig]) -> "Instance":
-        """This market with ``branches`` as its branch table.  Its contracts
-        and preferences are the same, so the copy shares those of this
-        one's ``contract_index``, ``agents``, ``contracts_of_agent`` and
-        ``_pref_rank`` that are built, and ``contracts_of_branch`` when the
-        branch ids are the same."""
-        inst = replace(self, branches=branches)
-        shared = ["contract_index", "agents", "contracts_of_agent", "_pref_rank"]
-        if inst.branches.keys() == self.branches.keys():
-            shared.append("contracts_of_branch")
-        inst.__dict__.update((name, self.__dict__[name]) for name in shared if name in self.__dict__)
+        """This market with ``branches`` as its branch table, sorted by id as
+        the constructor sorts it.  Its contracts and preferences are the
+        same, so the copy takes this one's normalised fields and every
+        lookup it has built, without building again; it drops
+        ``contracts_of_branch`` when the branch ids differ."""
+        inst = object.__new__(Instance)
+        inst.__dict__.update(self.__dict__, branches=dict(_sorted(branches.items(), "branches", "branch ids")))
+        if inst.branches.keys() != self.branches.keys():
+            inst.__dict__.pop("contracts_of_branch", None)
         return inst
 
     def with_branch(self, cfg: BranchConfig) -> "Instance":
@@ -294,7 +296,7 @@ class Instance:
         cfg = self.branches[branch]
         transfer = list(cfg.transfer)
         transfer[k - 1] = bit
-        return self.with_branch(replace(cfg, transfer=tuple(transfer)))
+        return self.with_branch(replace(cfg, transfer=transfer))
 
 
 def _is_int(value: Any) -> bool:

@@ -37,6 +37,7 @@ from .mechanism import (
     branch_universe,
     cumulative_offer,
     holdings,
+    memoised_choices,
     stability_report,
 )
 from .model import AgentId, BranchConfig, BranchId, Contract, ContractId, InputError, Instance, Outcome
@@ -405,14 +406,13 @@ def generate_improvement(inst: Instance, agent: AgentId, seed: int = 0) -> Insta
     agent has no contract or already tops every ranking it could appear in.
     """
     rng = random.Random(seed)
-    moves = rng.randint(1, 3)
     mine: dict[BranchId, list[ContractId]] = {}
     for cid in inst.contracts_of_agent.get(agent, ()):
         mine.setdefault(inst.contract_index[cid].branch, []).append(cid)
     # her branches' seat rankings in ``cfg.slots()`` order; a promotion copies its row to a list
     rows = {b: list(c.original_priorities + c.shadow_priorities) for b, c in inst.branches.items() if b in mine}
     promoted = set()
-    for _ in range(moves):
+    for _ in range(rng.randint(1, 3)):  # one to three promotions, the rng's first draw
         # every contract of hers below the top of a ranking, or not in it
         options = [
             (b, i, cid) for b, table in rows.items() for i, ranking in enumerate(table)
@@ -431,21 +431,18 @@ def generate_improvement(inst: Instance, agent: AgentId, seed: int = 0) -> Insta
         promoted.add(b)
     if not promoted:
         return inst
-    branches = dict(inst.branches)
-    for b in promoted:
-        cfg = branches[b]
-        k = len(cfg.original_priorities)
-        branches[b] = BranchConfig(cfg.id, cfg.n, cfg.location, cfg.transfer, rows[b][:k], rows[b][k:])
-    return inst.with_branches(branches)
+    return inst.with_branches({**inst.branches, **{b: inst.branches[b].with_rows(rows[b]) for b in promoted}})
 
 
 def check_respects_improvements(
     inst: Instance, agent: AgentId, trials: int = 20, seed: int = 0
 ) -> PropertyVerdict:
     """Raising the agent's priorities never makes her worse off under the
-    mechanism, for ``trials`` randomly generated improvements.  A trial that
-    returns the market itself is counted and reuses the baseline's holding."""
+    mechanism, for ``trials`` randomly generated improvements.  COM runs once
+    per distinct market: a trial that returns the market itself, or one
+    equal to an earlier trial's, is counted and reuses that market's holding."""
     base_cid = holdings(inst, _shared(inst).truthful_outcome).get(agent)
+    held = {tuple(inst.branches.values()): base_cid}  # a market's branch configs -> her holding
 
     def witness(trial_seed: int) -> dict | None:
         improved = generate_improvement(inst, agent, seed=trial_seed)
@@ -453,16 +450,16 @@ def check_respects_improvements(
             raise RuntimeError(
                 f"generated priority change for {agent} fails the improvement conditions"
             )
-        new_cid = base_cid if improved is inst else (
-            holdings(inst, cumulative_offer(improved).outcome).get(agent))
-        if not inst.prefers(agent, base_cid, new_cid):
-            return None
+        key = tuple(improved.branches.values())
+        if key not in held:
+            held[key] = holdings(inst, cumulative_offer(improved).outcome).get(agent)
+        new_cid = held[key]
         return {
             "agent": agent,
             "seed": trial_seed,
             "baseline_assignment": base_cid,
             "improved_assignment": new_cid,
-        }
+        } if inst.prefers(agent, base_cid, new_cid) else None
 
     return _verdict("respects-improvements", map(witness, range(seed, seed + trials)))
 
@@ -559,11 +556,13 @@ def run_suite_on_instance(
 ) -> list[list[PropertyVerdict]]:
     """Each requested suite's checks on one instance, one list per suite
     (config checks run per branch, so a market without branches gives them
-    an empty list).  The checks share one :class:`_Shared`, which is
-    dropped when the call returns."""
+    an empty list).  The checks share one :class:`_Shared` and, through
+    :func:`~sspwct.mechanism.memoised_choices`, the choices at the
+    instance's branch configs; both are dropped when the call returns."""
     token = _SHARED.set(_Shared(inst))
     try:
-        return [_SUITES[suite][1](inst, trials, seed, bound) for suite in suites]
+        with memoised_choices(inst):
+            return [_SUITES[suite][1](inst, trials, seed, bound) for suite in suites]
     finally:
         _SHARED.reset(token)
 

@@ -19,6 +19,7 @@ import random
 from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple
 
+from conftest import with_preference
 from sspwct import mechanism, oracles
 from sspwct.mechanism import POLICY_LEX, POLICY_RANDOM
 from sspwct.model import (
@@ -264,9 +265,9 @@ def assigned_contract(inst: Instance, outcome: Outcome, agent: AgentId) -> Contr
 
 def check_strategy_proofness(inst: Instance) -> oracles.PropertyVerdict:
     """The strategy-proofness check before it forked COM at each agent's
-    first turn: every misreport builds an instance with ``with_preference``
-    and runs the library's :func:`~sspwct.mechanism.cumulative_offer` on it
-    from step 1."""
+    first turn: every misreport builds an instance with
+    ``conftest.with_preference`` and runs the library's
+    :func:`~sspwct.mechanism.cumulative_offer` on it from step 1."""
     for agent, owned in inst.contracts_of_agent.items():
         if len(owned) > oracles.MISREPORT_BOUND:
             raise mechanism.InstanceTooLarge(
@@ -276,7 +277,7 @@ def check_strategy_proofness(inst: Instance) -> oracles.PropertyVerdict:
     truthful = mechanism.holdings(inst, mechanism.cumulative_offer(inst).outcome)
     deviations = (
         (agent, report, mechanism.holdings(
-            inst, mechanism.cumulative_offer(inst.with_preference(agent, report)).outcome))
+            inst, mechanism.cumulative_offer(with_preference(inst, agent, report)).outcome))
         for agent in inst.agents
         for report in oracles.misreports(inst.contracts_of_agent.get(agent, ()))
         if report != inst.preferences.get(agent, ())

@@ -1,3 +1,5 @@
+import dataclasses
+
 from sspwct.model import BranchConfig, Contract, Instance, SlotId
 
 
@@ -10,6 +12,12 @@ def make_instance(contracts, prefs, branches) -> Instance:
     """
     built = tuple(Contract(cid, agent, branch, terms=cid) for cid, agent, branch in contracts)
     return Instance(built, prefs, {cfg.id: cfg for cfg in branches})
+
+
+def with_preference(inst: Instance, agent: str, ranking) -> Instance:
+    """``inst`` with ``agent`` ranking ``ranking``, built through the
+    constructor, so the ranking is normalised and checked as parsed ones are."""
+    return dataclasses.replace(inst, preferences={**inst.preferences, agent: ranking})
 
 
 def branch(bid="b", n=1, location=None, transfer=None, original=None, shadow=None) -> BranchConfig:

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import com_reference as ref
-from conftest import CountedSet
+from conftest import CountedSet, with_preference
 from sspwct import cli
 from sspwct.choice import completion_choose, sspwct_choose
 from sspwct.generator import GeneratorConfig, generate_batch, generate_instance
@@ -224,7 +224,7 @@ def test_forked_runs_match_full_runs_for_every_report(batch):
             for report in misreports(inst.contracts_of_agent.get(agent, ())):
                 fork = state.fork(agent, report)
                 fork.run()
-                want = cumulative_offer(inst.with_preference(agent, report))
+                want = cumulative_offer(with_preference(inst, agent, report))
                 assert fork.outcome == want.outcome, (cfg.seed + i, agent, report)
                 assert fork.moves == list(want.moves)
                 reports += 1

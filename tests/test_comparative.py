@@ -27,7 +27,7 @@ from sspwct.generator import GeneratorConfig, generate_instance
 from sspwct.mechanism import cumulative_offer
 from sspwct.model import Contract, SlotId, validate_instance
 
-from conftest import MISSING_SEATS, branch, make_instance, seat_id
+from conftest import MISSING_SEATS, branch, make_instance, seat_id, with_preference
 
 
 def first_zero_bit(inst):
@@ -288,7 +288,7 @@ class TestAddContracts:
         added = AddedContract(Contract("nw", "B", "b", "t"), 0, {SlotId("b", "original", 2): 0})
         modified = apply_additions(inst, [added], MODE_SINGLE_AGENT)
         # make the contract unacceptable by clearing B's ranking
-        modified = modified.with_preference("B", ())
+        modified = with_preference(modified, "B", ())
         assert cumulative_offer(modified).outcome == cumulative_offer(inst).outcome
 
     def test_bottom_contract_fills_vacant_seat(self):

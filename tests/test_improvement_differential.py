@@ -8,6 +8,7 @@ import pytest
 
 import improvement_reference as ref
 from sspwct.generator import GeneratorConfig, generate_instance
+from sspwct.mechanism import cumulative_offer
 from sspwct.model import Instance
 from sspwct.oracles import generate_improvement, is_priority_improvement
 
@@ -73,6 +74,9 @@ def test_shuffled_id_markets_match_reference():
 
 
 def test_builds_at_most_one_instance(monkeypatch):
+    # a trial market is copied from its base, so it runs no constructor at
+    # all; the lookups and seat orders it takes from the base must equal
+    # those a fresh build of the same market makes
     built = []
     post_init = Instance.__post_init__
 
@@ -81,13 +85,31 @@ def test_builds_at_most_one_instance(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(Instance, "__post_init__", counted)
+    taken = planned = 0
     for s in range(40):
         inst = generate_instance(GeneratorConfig(seed=s))
+        cumulative_offer(inst)  # builds the seat orders a trial takes from its base
+        assert inst.contracts_of_branch
         for agent in inst.agents:
             for seed in SEEDS:
                 built.clear()
                 improved = generate_improvement(inst, agent, seed=seed)
-                assert built == ([] if improved is inst else [improved])
+                assert built == []
+                assert improved == ref.generate_improvement(inst, agent, seed=seed), (agent, seed)
+                if improved is inst:
+                    continue
+                cumulative_offer(improved)
+                fresh = Instance(improved.contracts, improved.preferences,
+                                 {b: replace(cfg) for b, cfg in improved.branches.items()})
+                assert vars(improved)["contracts_of_branch"] == fresh.contracts_of_branch
+                for b, cfg in improved.branches.items():
+                    if "slot_order" in vars(inst.branches[b]):
+                        assert vars(cfg)["slot_order"] == fresh.branches[b].slot_order
+                        taken += cfg is not inst.branches[b]
+                    if "seat_plan" in vars(cfg):
+                        assert cfg.seat_plan == fresh.branches[b].seat_plan
+                        planned += cfg is not inst.branches[b]
+    assert taken > 100 and planned > 100, (taken, planned)
 
 
 @pytest.mark.parametrize("agent", ["A", "nobody"])

@@ -18,7 +18,7 @@ from sspwct.mechanism import (
 from sspwct.generator import GeneratorConfig, generate_batch, generate_instance
 from sspwct.model import canonical_json
 
-from conftest import branch, make_instance
+from conftest import branch, make_instance, with_preference
 from test_com_differential import BATCHES, POLICIES
 
 
@@ -203,7 +203,7 @@ class TestComState:
         fork.run()
         assert len(fork.moves) > len(state.moves) and fork.preferences[agent] == report
         assert snapshot(state) == before
-        assert fork.outcome == cumulative_offer(inst.with_preference(agent, report)).outcome
+        assert fork.outcome == cumulative_offer(with_preference(inst, agent, report)).outcome
 
     def test_forking_an_agent_who_has_proposed_raises(self):
         inst, agent, state = self.paused()

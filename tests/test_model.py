@@ -24,7 +24,7 @@ from sspwct.cli import main
 from sspwct.generator import LOCATION_POLICIES, GeneratorConfig, generate_instance
 from sspwct.mechanism import cumulative_offer
 
-from conftest import MISSING_SEATS, branch, make_instance, seat_id
+from conftest import MISSING_SEATS, branch, make_instance, seat_id, with_preference
 
 
 def test_location_lower_bound_violation():
@@ -473,7 +473,7 @@ STRING_RANKINGS = [
      "branches[b].original_priorities[0]"),
     (lambda: BranchConfig("b", 2, (1, 2), (0, 0), ((), ()), ((), "xy")),
      "branches[b].shadow_priorities[1]"),
-    (lambda: make_instance([("x", "A", "b")], {"A": ("x",)}, [branch(n=1)]).with_preference("A", "x"),
+    (lambda: with_preference(make_instance([("x", "A", "b")], {"A": ("x",)}, [branch(n=1)]), "A", "x"),
      "preferences[A]"),
     (lambda: branch(n=1).with_ranking(branch(n=1).original_slot(1), "x"),
      "branches[b].original_priorities[0]"),
@@ -494,7 +494,7 @@ def test_rankings_of_any_sequence_are_stored_as_tuples():
                          [BranchConfig("b", 1, [1], [0], [["y", "x"]], [[]])])
     assert inst.preferences["A"] == ("x", "y")
     assert inst.branches["b"].original_priorities == (("y", "x"),)
-    assert inst.with_preference("A", iter(["y"])).preferences["A"] == ("y",)
+    assert with_preference(inst, "A", iter(["y"])).preferences["A"] == ("y",)
 
 
 @settings(max_examples=60, deadline=None)

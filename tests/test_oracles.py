@@ -37,7 +37,7 @@ from sspwct.oracles import (
 
 import com_reference as ref
 import improvement_reference
-from conftest import branch, make_instance
+from conftest import branch, make_instance, with_preference
 
 
 # -- deliberately corrupted rules (oracle sensitivity) --
@@ -180,7 +180,7 @@ class TestMutationSensitivity:
             if verdict.status == "fail":
                 fails += 1
                 w = verdict.witness
-                misreported = inst.with_preference(w["agent"], w["misreport"])
+                misreported = with_preference(inst, w["agent"], w["misreport"])
                 assert holdings(inst, cumulative_offer(inst).outcome).get(w["agent"]) == (
                     w["truthful_assignment"])
                 assert holdings(inst, cumulative_offer(misreported).outcome).get(w["agent"]) == (

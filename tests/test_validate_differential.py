@@ -19,7 +19,7 @@ from sspwct import cli, comparative, model
 from sspwct.generator import GeneratorConfig, generate_instance
 from sspwct.model import Contract, InputError, Instance, ParseError, parse_instance, serialize_instance
 
-from conftest import branch, make_instance
+from conftest import branch, make_instance, with_preference
 from test_input_errors import MARKET, RAISE_SITES, _deep_preference
 from test_parse_differential import CONFIGS, _mutations
 
@@ -81,13 +81,13 @@ _TWO_AGENTS = make_instance(
 
 LIBRARY_BUILT = [
     pytest.param(_TWO_AGENTS, id="valid"),
-    pytest.param(_TWO_AGENTS.with_preference("A", ("x", "z", "x", "z")), id="duplicate-entries"),
-    pytest.param(_TWO_AGENTS.with_preference("A", ("q", "x", "r")), id="unknown-ids"),
-    pytest.param(_TWO_AGENTS.with_preference("A", ("y", "x", "y")), id="other-agent-ids"),
+    pytest.param(with_preference(_TWO_AGENTS, "A", ("x", "z", "x", "z")), id="duplicate-entries"),
+    pytest.param(with_preference(_TWO_AGENTS, "A", ("q", "x", "r")), id="unknown-ids"),
+    pytest.param(with_preference(_TWO_AGENTS, "A", ("y", "x", "y")), id="other-agent-ids"),
     pytest.param(_TWO_AGENTS.with_branch(branch(n=1, original=[("z", "x", "z", "q")])), id="other-branch-ids"),
-    pytest.param(_TWO_AGENTS.with_preference("A", (["x"], "x", {"y": 1}, 7)), id="unhashable-entries"),
-    pytest.param(_TWO_AGENTS.with_preference("A", (7, None, ("x",), 1.5, "x")), id="non-string-entries"),
-    pytest.param(_TWO_AGENTS.with_preference("C", ("x",)), id="agent-with-no-contracts"),
+    pytest.param(with_preference(_TWO_AGENTS, "A", (["x"], "x", {"y": 1}, 7)), id="unhashable-entries"),
+    pytest.param(with_preference(_TWO_AGENTS, "A", (7, None, ("x",), 1.5, "x")), id="non-string-entries"),
+    pytest.param(with_preference(_TWO_AGENTS, "C", ("x",)), id="agent-with-no-contracts"),
     pytest.param(_TWO_AGENTS.with_branch(branch(bid="d", n=1, shadow=[("x",)])), id="branch-with-no-contracts"),
     pytest.param(make_instance([("x", "A", "b"), ("x", "B", "b")], {"A": ("x",), "B": ("x",)}, [branch()]),
                  id="duplicate-ids"),
@@ -161,7 +161,7 @@ def _edit_ranking(rng, inst):
     elif row:
         del row[rng.randrange(len(row))]
     if where[0] == "pref":
-        return inst.with_preference(where[1], row)
+        return with_preference(inst, where[1], row)
     cfg = inst.branches[where[0]]
     rows = list(getattr(cfg, where[1]))
     rows[where[2]] = row
