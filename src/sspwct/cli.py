@@ -157,6 +157,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         raise InputError("--suite names no suite")
     oracles.requested_suites(suites)
     _require_at_least("--bound", args.bound, 0)
+    _require_at_least("trials", args.trials, 1)  # run_suite's text, checked before any instance
+    _require_at_least("jobs", args.jobs, 1)
     if args.gen:
         _require_at_least("--count", args.count, 1)
         instances = generator.generate_batch(_generator_config(args), args.count)

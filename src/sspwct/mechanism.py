@@ -41,9 +41,10 @@ first runs every other agent to quiescence would rest on order
 independence instead, which a faulty choice rule need not have, and a
 check through it can miss such a rule's violations.)
 
-Inside :func:`memoised_choices`, which one oracle suite run enters,
-:func:`branch_choice` memoises by (config, rule, pool) at branches of at
-most 8 contracts: exact for any deterministic rule, as the fork is.
+One oracle suite run enters one :class:`SharedWork`, in which
+:func:`branch_choice` memoises by (config, rule, pool) at the instance's
+branches of at most :data:`EXHAUSTIVE_BOUND` contracts: exact for any
+deterministic rule, as the fork is.
 
 Stability is verified by brute force on one path, :func:`stability_report`:
 feasibility, individual rationality and an exhaustive search over
@@ -54,7 +55,6 @@ from __future__ import annotations
 import copy
 import random
 from bisect import bisect_left
-from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import combinations
@@ -70,16 +70,11 @@ POLICY_RANDOM = "random"
 #: universe; refuse branches larger than this.
 DEFAULT_BLOCKING_BOUND = 14
 
-# The memo is None outside memoised_choices, so run, verify and the experiments
-# never memoise.  One entry per config object of the suite's instance holds the
-# config (no id is reused while it lives) and the rule the module global named
-# (a tracer or a test that rebinds sspwct_choose starts the entry afresh), and
-# maps each pool's frozenset to its choice.  Only a branch of at most
-# _MEMO_BOUND contracts (the oracles' enumeration bound) gets one, so an entry
-# holds at most 256 pools; a larger branch's pools seldom repeat.  A trial
-# market's new configs get none: one run never offers a branch a pool twice.
-_MEMO_BOUND = 8
-_MEMO = ContextVar("_MEMO", default=None)  # id(config) -> (config, rule, {pool: result})
+#: Cap on a branch's contract universe for the oracles' per-branch checks,
+#: which enumerate its subsets, and for the choice memo: larger pools seldom repeat.
+EXHAUSTIVE_BOUND = 8
+
+_WORK = ContextVar("_WORK", default=None)  # the running suite's SharedWork
 
 
 class InstanceTooLarge(InputError):
@@ -111,31 +106,56 @@ def branch_universe(inst: Instance, branch: BranchId, bound: int, what: str) -> 
     return universe
 
 
+class SharedWork:
+    """What the checks of one oracle suite run on ``inst`` share, each piece
+    done on first use; ``with SharedWork(inst):`` makes it the running work
+    for the block, and nothing keeps it after.
+
+    - ``outcomes``: a market's branch configs -> its ``lex`` outcome, for the
+      truthful run and every improvement trial (a trial market has
+      ``inst``'s contracts and preferences, so its configs name it);
+    - ``tables``: (config, rule) -> the rule's chosen set from each offer
+      set, by bitmask (the oracles fill it);
+    - ``memo``: id(config) -> (config, rule, {pool: result}), which
+      :func:`branch_choice` fills while the work runs, at ``inst``'s configs
+      of at most :data:`EXHAUSTIVE_BOUND` contracts.  An entry holds its
+      config, so no id is reused while it lives, and the rule the module
+      global named, so a rebound ``sspwct_choose`` starts it afresh.
+    """
+
+    def __init__(self, inst: Instance) -> None:
+        self.inst = inst
+        self.outcomes = {}
+        self.tables = {}
+        self.memo = {id(cfg): (cfg, sspwct_choose, {}) for b, cfg in inst.branches.items()
+                     if len(inst.contracts_of_branch[b]) <= EXHAUSTIVE_BOUND}
+
+    def __enter__(self) -> SharedWork:
+        self.token = _WORK.set(self)
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        _WORK.reset(self.token)
+
+
+def shared_work(inst: Instance) -> SharedWork:
+    """The running work when it is on ``inst``, else fresh work."""
+    work = _WORK.get()
+    return work if work is not None and work.inst is inst else SharedWork(inst)
+
+
 def branch_choice(inst: Instance, branch: BranchId, pool: Iterable[ContractId]) -> ChoiceResult:
-    cfg, memo = inst.branches[branch], _MEMO.get()
-    entry = memo and memo.get(id(cfg))
+    cfg, work = inst.branches[branch], _WORK.get()
+    entry = work and work.memo.get(id(cfg))
     if not entry:
         return sspwct_choose(cfg, pool, inst.contract_index)
     if entry[1] is not sspwct_choose:
-        entry = memo[id(cfg)] = cfg, sspwct_choose, {}
+        entry = work.memo[id(cfg)] = cfg, sspwct_choose, {}
     key = frozenset(pool)
     result = entry[2].get(key)
     if result is None:
         result = entry[2][key] = sspwct_choose(cfg, key, inst.contract_index)
     return result
-
-
-@contextmanager
-def memoised_choices(inst: Instance) -> Iterator[None]:
-    """Memoise :func:`branch_choice` at ``inst``'s configs in the block."""
-    token = _MEMO.set({
-        id(cfg): (cfg, sspwct_choose, {})
-        for b, cfg in inst.branches.items() if len(inst.contracts_of_branch[b]) <= _MEMO_BOUND
-    })
-    try:
-        yield
-    finally:
-        _MEMO.reset(token)
 
 
 def _relist(eligible: list[AgentId], agent: AgentId, can_propose: bool) -> None:

@@ -294,9 +294,8 @@ class Instance:
 
     def with_transfer_bit(self, branch: BranchId, k: int, bit: int) -> "Instance":
         cfg = self.branches[branch]
-        transfer = list(cfg.transfer)
-        transfer[k - 1] = bit
-        return self.with_branch(replace(cfg, transfer=transfer))
+        cfg.priority(cfg.original_slot(k))  # a k outside 1..n raises KeyError, as a seat the branch lacks
+        return self.with_branch(replace(cfg, transfer=cfg.transfer[:k - 1] + (bit,) + cfg.transfer[k:]))
 
 
 def _is_int(value: Any) -> bool:

@@ -15,38 +15,37 @@ The checks that take a ``rule`` accept any callable with the signature of
 actually fires on deliberately corrupted rules.
 
 The checks of one :func:`run_suite_on_instance` call share the work they
-repeat on its instance (see :class:`_Shared`): the truthful ``lex`` run,
-and one choice table per (config, rule) that holds the rule's choice from
-every offer set, indexed by the set's bitmask.  A check called on its own
-does its own work.
+repeat on its instance through one :class:`~sspwct.mechanism.SharedWork`:
+the ``lex`` outcome of each market they run, one choice table per (config,
+rule) that holds the rule's choice from every offer set, indexed by the
+set's bitmask, and COM's choices at the instance's configs.  A check called
+on its own does its own work.
 """
 from __future__ import annotations
 
 import random
-from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import partial
 from itertools import combinations, permutations
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .choice import ChoiceResult, completion_choose, sspwct_choose
 from .mechanism import (
     DEFAULT_BLOCKING_BOUND,
+    EXHAUSTIVE_BOUND,
     ComState,
     InstanceTooLarge,
+    SharedWork,
     branch_universe,
     cumulative_offer,
     holdings,
-    memoised_choices,
+    shared_work,
     stability_report,
 )
 from .model import AgentId, BranchConfig, BranchId, Contract, ContractId, InputError, Instance, Outcome
 
 ChoiceRule = Callable[[BranchConfig, Iterable[ContractId], Mapping[ContractId, Contract]], ChoiceResult]
 
-#: Cap on a branch's contract universe for the per-branch checks, which
-#: enumerate all of its subsets.
-EXHAUSTIVE_BOUND = 8
 MISREPORT_BOUND = 4
 
 
@@ -105,45 +104,29 @@ def _offer_sets(universe: Sequence[ContractId]) -> Iterator[tuple[int, tuple[Con
         yield from zip(map(sum, combinations(bits, size)), combinations(universe, size))
 
 
-class _Shared:
-    """The work on one instance that the checks of one
-    :func:`run_suite_on_instance` call share, each piece done on first use:
-    the truthful ``lex`` outcome and one choice table per (config, rule).
-    It lives only as long as that call."""
-
-    def __init__(self, inst: Instance) -> None:
-        self.inst = inst
-        self.tables = {}  # (config, rule) -> its choice table
-
-    @cached_property
-    def truthful_outcome(self) -> Outcome:
-        return cumulative_offer(self.inst).outcome
-
-    def table(
-        self, cfg: BranchConfig, bound: int, what: str, rule: ChoiceRule
-    ) -> tuple[tuple[ContractId, ...], list[frozenset]]:
-        """The branch's contracts, checked against ``bound`` first (see
-        :func:`~sspwct.mechanism.branch_universe`), and what ``rule``
-        chooses at ``cfg`` from each of their offer sets (see
-        :func:`_offer_sets`), indexed by its bitmask, each chosen set as the
-        rule returned it."""
-        universe = branch_universe(self.inst, cfg.id, bound, what)
-        if (cfg, rule) not in self.tables:
-            table = [frozenset()] * (1 << len(universe))
-            for mask, offers in _offer_sets(universe):
-                table[mask] = rule(cfg, frozenset(offers), self.inst.contract_index).chosen
-            self.tables[cfg, rule] = table
-        return universe, self.tables[cfg, rule]
+def _table(
+    work: SharedWork, cfg: BranchConfig, bound: int, what: str, rule: ChoiceRule
+) -> tuple[tuple[ContractId, ...], list[frozenset]]:
+    """The branch's contracts, checked against ``bound`` first (see
+    :func:`~sspwct.mechanism.branch_universe`), and what ``rule`` chooses at
+    ``cfg`` from each of their offer sets (see :func:`_offer_sets`), indexed
+    by its bitmask, each chosen set as the rule returned it."""
+    universe = branch_universe(work.inst, cfg.id, bound, what)
+    if (cfg, rule) not in work.tables:
+        table = [frozenset()] * (1 << len(universe))
+        for mask, offers in _offer_sets(universe):
+            table[mask] = rule(cfg, frozenset(offers), work.inst.contract_index).chosen
+        work.tables[cfg, rule] = table
+    return universe, work.tables[cfg, rule]
 
 
-_SHARED = ContextVar("_SHARED", default=None)  # the running suite's _Shared
-
-
-def _shared(inst: Instance) -> _Shared:
-    """The running suite's shared work when it runs on ``inst``; else fresh
-    work, so that a check called on its own does its own."""
-    shared = _SHARED.get()
-    return shared if shared is not None and shared.inst is inst else _Shared(inst)
+def _lex_outcome(work: SharedWork, market: Instance) -> Outcome:
+    """``market``'s ``lex`` outcome, run once per :class:`SharedWork`;
+    ``market`` has ``work.inst``'s contracts and preferences."""
+    key = tuple(market.branches.values())
+    if key not in work.outcomes:
+        work.outcomes[key] = cumulative_offer(market).outcome
+    return work.outcomes[key]
 
 
 # -- choice-rule properties --
@@ -158,10 +141,9 @@ def check_completion(
 ) -> PropertyVerdict:
     """For every offer set, the completion either agrees with the base rule
     or holds two contracts of one agent."""
-    cfg = inst.branches[branch]
-    shared = _shared(inst)
-    universe, base = shared.table(cfg, bound, "the completion check", rule)
-    _, completion = shared.table(cfg, bound, "the completion check", completion_rule)
+    cfg, work = inst.branches[branch], shared_work(inst)
+    universe, base = _table(work, cfg, bound, "the completion check", rule)
+    _, completion = _table(work, cfg, bound, "the completion check", completion_rule)
     return _verdict("completion", (
         {
             "branch": branch,
@@ -182,7 +164,7 @@ def check_substitutability(
 ) -> PropertyVerdict:
     """Once rejected, always rejected: z out of C(Y + z) implies z out of
     C(Y + z + z'), for every Y, z, z'."""
-    universe, table = _shared(inst).table(inst.branches[branch], bound, "the substitutability check", rule)
+    universe, table = _table(shared_work(inst), inst.branches[branch], bound, "the substitutability check", rule)
     positions = range(len(universe))
     return _verdict("substitutability", (
         {
@@ -205,7 +187,7 @@ def check_irc(
     rule: ChoiceRule = completion_choose,
 ) -> PropertyVerdict:
     """Dropping a rejected contract never changes the chosen set."""
-    universe, table = _shared(inst).table(inst.branches[branch], bound, "the IRC check", rule)
+    universe, table = _table(shared_work(inst), inst.branches[branch], bound, "the IRC check", rule)
     return _verdict("irc", (
         {
             "branch": branch,
@@ -227,7 +209,7 @@ def check_lad(
 ) -> PropertyVerdict:
     """Law of aggregate demand over one-element extensions, which implies
     the general nested-pair statement by induction."""
-    universe, table = _shared(inst).table(inst.branches[branch], bound, "the LAD check", rule)
+    universe, table = _table(shared_work(inst), inst.branches[branch], bound, "the LAD check", rule)
     return _verdict("lad", (
         {
             "branch": branch,
@@ -274,7 +256,7 @@ def check_slot_specific_reduction(
     with the reference slot-specific rule on every offer set."""
     cfg = inst.branches[branch]
     zeroed = replace(cfg, transfer=(0,) * cfg.n)
-    universe, ours = _shared(inst).table(zeroed, bound, "the reduction check", sspwct_choose)
+    universe, ours = _table(shared_work(inst), zeroed, bound, "the reduction check", sspwct_choose)
     return _verdict("slot-specific-reduction", (
         {
             "branch": branch,
@@ -318,7 +300,7 @@ def check_strategy_proofness(inst: Instance) -> PropertyVerdict:
                 f"agent {agent} has {len(owned)} contracts; misreport enumeration is "
                 f"exhaustive and capped at {MISREPORT_BOUND}"
             )
-    truthful = holdings(inst, _shared(inst).truthful_outcome)
+    truthful = holdings(inst, _lex_outcome(shared_work(inst), inst))
 
     def deviations() -> Iterator[tuple[AgentId, tuple[ContractId, ...], ContractId | None]]:
         state = ComState(inst)
@@ -440,9 +422,9 @@ def check_respects_improvements(
     """Raising the agent's priorities never makes her worse off under the
     mechanism, for ``trials`` randomly generated improvements.  COM runs once
     per distinct market: a trial that returns the market itself, or one
-    equal to an earlier trial's, is counted and reuses that market's holding."""
-    base_cid = holdings(inst, _shared(inst).truthful_outcome).get(agent)
-    held = {tuple(inst.branches.values()): base_cid}  # a market's branch configs -> her holding
+    equal to an earlier trial's, is counted and reuses that market's outcome."""
+    work = shared_work(inst)
+    base_cid = holdings(inst, _lex_outcome(work, inst)).get(agent)
 
     def witness(trial_seed: int) -> dict | None:
         improved = generate_improvement(inst, agent, seed=trial_seed)
@@ -450,10 +432,7 @@ def check_respects_improvements(
             raise RuntimeError(
                 f"generated priority change for {agent} fails the improvement conditions"
             )
-        key = tuple(improved.branches.values())
-        if key not in held:
-            held[key] = holdings(inst, cumulative_offer(improved).outcome).get(agent)
-        new_cid = held[key]
+        new_cid = holdings(inst, _lex_outcome(work, improved)).get(agent)
         return {
             "agent": agent,
             "seed": trial_seed,
@@ -472,7 +451,7 @@ def check_stability(inst: Instance, bound: int = DEFAULT_BLOCKING_BOUND) -> Prop
     survives the exhaustive blocking-set search (see
     :func:`~sspwct.mechanism.stability_report`).  The witness names the first
     of those that fails."""
-    outcome = _shared(inst).truthful_outcome
+    outcome = _lex_outcome(shared_work(inst), inst)
     report = stability_report(inst, outcome, bound)
     witness: dict | None = None
     if not report.stable:
@@ -493,7 +472,7 @@ def check_stability(inst: Instance, bound: int = DEFAULT_BLOCKING_BOUND) -> Prop
 def check_order_independence(inst: Instance, seeds: Sequence[int]) -> PropertyVerdict:
     """The outcome must not depend on who proposes when: the lexicographic
     policy and every seeded random policy must produce the same set."""
-    reference = _shared(inst).truthful_outcome
+    reference = _lex_outcome(shared_work(inst), inst)
     others = ((seed, cumulative_offer(inst, policy="random", seed=seed).outcome) for seed in seeds)
     return _verdict("order-independence", (
         {
@@ -556,15 +535,10 @@ def run_suite_on_instance(
 ) -> list[list[PropertyVerdict]]:
     """Each requested suite's checks on one instance, one list per suite
     (config checks run per branch, so a market without branches gives them
-    an empty list).  The checks share one :class:`_Shared` and, through
-    :func:`~sspwct.mechanism.memoised_choices`, the choices at the
-    instance's branch configs; both are dropped when the call returns."""
-    token = _SHARED.set(_Shared(inst))
-    try:
-        with memoised_choices(inst):
-            return [_SUITES[suite][1](inst, trials, seed, bound) for suite in suites]
-    finally:
-        _SHARED.reset(token)
+    an empty list).  The checks share one
+    :class:`~sspwct.mechanism.SharedWork`, dropped when the call returns."""
+    with SharedWork(inst):
+        return [_SUITES[suite][1](inst, trials, seed, bound) for suite in suites]
 
 
 def run_suite(

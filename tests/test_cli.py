@@ -289,6 +289,18 @@ class TestOracle:
             code, out, err = run_cli(capsys, *argv)
             assert (code, out, err) == (2, "", f"--bound must be at least 0 (got {bound})\n")
 
+    @pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--trials", "-3"), ("--jobs", "0"), ("--jobs", "-2")])
+    def test_bad_trials_or_jobs_exit_2_before_any_instance(self, tmp_path, capsys, monkeypatch, flag, value):
+        # once rejected by run_suite only after the whole batch was generated
+        def no_batch(*args):
+            raise AssertionError(f"generated a batch for {flag} {value}")
+
+        monkeypatch.setattr(cli.generator, "generate_batch", no_batch)
+        missing = str(tmp_path / "missing.json")
+        for argv in (["oracle", "--gen", flag, value], ["oracle", missing, flag, value]):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out, err) == (2, "", f"{flag[2:]} must be at least 1 (got {value})\n")
+
 
 def test_internal_value_error_is_not_an_input_error(tmp_path, capsys, monkeypatch):
     # only named input errors exit 2; a ValueError raised inside an algorithm

@@ -273,6 +273,19 @@ def test_priority_and_with_ranking_reject_a_seat_the_branch_lacks(slot):
         assert exc.value.args == (f"branch b has no seat {slot!r}",)
 
 
+@pytest.mark.parametrize("k, bit", [(0, 1), (-1, 7), (4, 1), (5, 0)])
+def test_with_transfer_bit_rejects_a_seat_the_branch_lacks(k, bit):
+    # b01 has bits (0, 1, 1): k=0 once edited bit n, k=-1 bit n-1, and
+    # k=n+1 raised a raw IndexError
+    inst = generate_instance(GeneratorConfig(seed=1))
+    cfg = inst.branches["b01"]
+    assert cfg.transfer == (0, 1, 1)
+    with pytest.raises(KeyError) as exc:
+        inst.with_transfer_bit("b01", k, bit)
+    assert exc.value.args == (f"branch b01 has no seat {cfg.original_slot(k)!r}",)
+    assert inst.branches["b01"] is cfg and cfg.transfer == (0, 1, 1)
+
+
 def test_with_ranking_edits_only_its_seat():
     cfg = branch(n=2, original=[("x",), ("y",)], shadow=[("y",), ("x",)])
     for slot in cfg.slots():
