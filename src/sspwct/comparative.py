@@ -129,7 +129,8 @@ def flip_transfer(inst: Instance, branch: BranchId, k: int) -> Instance:
         raise InputError(f"slot index {k} out of range for branch {branch} (n={cfg.n})")
     if cfg.transfer[k - 1] == 1:
         raise AlreadyFlexible(f"transfer bit {k} of branch {branch} is already 1")
-    return inst.with_transfer_bit(branch, k, 1)
+    transfer = cfg.transfer[:k - 1] + (1,) + cfg.transfer[k:]
+    return inst.with_branches({branch: replace(cfg, transfer=transfer)})
 
 
 def flexibility_compare(inst: Instance, branch: BranchId, k: int) -> ComparisonReport:
@@ -241,7 +242,7 @@ def extend_branch(
     extended = BranchConfig(
         cfg.id, n + 1, tuple(new_location), tuple(transfer), tuple(originals), tuple(shadows)
     )
-    out = inst.with_branch(extended)
+    out = inst.with_branches({branch: extended})
     problems = validate_instance(out)
     if problems:
         raise InputError("extended branch is invalid: " + "; ".join(problems))
@@ -288,27 +289,33 @@ def apply_additions(
                 f"single-agent mode requires one owner, got {sorted(owners)}"
             )
 
-    current = inst
+    # each edited agent's ranking and each edited branch's seat rows, as lists
+    ids = set(inst.contract_index)
+    preferences: dict[AgentId, list] = {}
+    rows: dict[BranchId, list] = {}
     for a in additions:
         c = a.contract
-        if c.id in current.contract_index:
+        if c.id in ids:
             raise ConditionViolation(f"contract id {c.id} already exists")
-        if c.branch not in current.branches:
+        ids.add(c.id)
+        if c.branch not in inst.branches:
             raise ConditionViolation(f"contract {c.id} references unknown branch {c.branch}")
 
-        ranking = list(current.preferences.get(c.agent, ()))
+        ranking = preferences.setdefault(c.agent, list(inst.preferences.get(c.agent, ())))
         if not 0 <= a.pref_position <= len(ranking):
             raise ConditionViolation(
                 f"preference position {a.pref_position} out of range for {c.agent}"
             )
         ranking.insert(a.pref_position, c.id)
 
-        cfg = current.branches[c.branch]
+        cfg = inst.branches[c.branch]
+        table = rows.setdefault(c.branch, list(cfg.original_priorities + cfg.shadow_priorities))
         for slot, pos in sorted(a.slot_positions.items()):
             try:
-                row = list(cfg.priority(slot))
+                i = cfg.row(slot)
             except KeyError as exc:
                 raise ConditionViolation(f"contract {c.id} cannot be listed: {exc.args[0]}") from None
+            row = table[i] = list(table[i])
             if mode == MODE_BOTTOM and pos != len(row):
                 raise ConditionViolation(
                     f"bottom mode: contract {c.id} must land at the end of {slot} "
@@ -317,15 +324,12 @@ def apply_additions(
             if not 0 <= pos <= len(row):
                 raise ConditionViolation(f"position {pos} out of range for slot {slot}")
             row.insert(pos, c.id)
-            cfg = cfg.with_ranking(slot, row)
 
-        current = replace(
-            current,
-            contracts=current.contracts + (c,),
-            preferences={**current.preferences, c.agent: tuple(ranking)},
-            branches={**current.branches, c.branch: cfg},
-        )
-
+    current = Instance(
+        inst.contracts + tuple(a.contract for a in additions),
+        {**inst.preferences, **preferences},
+        {**inst.branches, **{b: inst.branches[b].with_rows(table) for b, table in rows.items()}},
+    )
     problems = validate_instance(current)
     if problems:
         raise ConditionViolation("additions produced an invalid instance: " + "; ".join(problems))

@@ -216,10 +216,6 @@ class ComState:
             verdict = "held" if held else "rejected"
             yield {"t": t, "agent": agent, "contract": cid, "verdict": verdict, "pools": pools}
 
-    def to_json(self) -> dict:
-        """The run's steps, read from :meth:`iter_steps`, and its outcome."""
-        return {"steps": list(self.iter_steps()), "outcome": sorted(self.outcome)}
-
     def fork(self, agent: AgentId, ranking: Iterable[ContractId]) -> ComState:
         """A copy of the state in which ``agent`` proposes by ``ranking``;
         raises :class:`ValueError` once the agent has proposed."""

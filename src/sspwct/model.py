@@ -125,30 +125,29 @@ class BranchConfig:
         """All 2n seats, originals first, in precedence order."""
         return tuple(SlotId(self.id, kind, k) for kind in (ORIGINAL, SHADOW) for k in range(1, self.n + 1))
 
-    def _priority_field(self, slot: SlotId) -> str:
+    def row(self, slot: SlotId) -> int:
+        """``slot``'s index among the rows :meth:`with_rows` takes: n
+        original rows, then n shadow rows.  A seat the branch lacks (a
+        foreign branch, an unknown kind, an index outside 1..n) raises
+        KeyError."""
         if slot.branch != self.id or slot.kind not in (ORIGINAL, SHADOW) or not 1 <= slot.index <= self.n:
             raise KeyError(f"branch {self.id} has no seat {slot!r}")
-        return "original_priorities" if slot.kind == ORIGINAL else "shadow_priorities"
+        return slot.index - 1 if slot.kind == ORIGINAL else self.n + slot.index - 1
 
     def priority(self, slot: SlotId) -> tuple[ContractId, ...]:
-        """``slot``'s ranking; a seat the branch lacks (a foreign branch, an
-        unknown kind, an index outside 1..n) raises KeyError."""
-        return getattr(self, self._priority_field(slot))[slot.index - 1]
-
-    def with_ranking(self, slot: SlotId, ranking: Iterable[ContractId]) -> "BranchConfig":
-        """A copy in which ``slot`` ranks ``ranking``; rejects a seat as
-        :meth:`priority` does."""
-        field = self._priority_field(slot)
-        rows = list(getattr(self, field))
-        rows[slot.index - 1] = ranking
-        return replace(self, **{field: rows})
+        """``slot``'s ranking; rejects a seat as :meth:`row` does."""
+        i = self.row(slot)
+        return self.original_priorities[i] if i < self.n else self.shadow_priorities[i - self.n]
 
     def with_rows(self, rows: Sequence) -> "BranchConfig":
-        """A copy ranking ``rows``, n original rows then n shadow rows; it
-        takes this config's ``slot_order``, which depends only on id, n and
-        location."""
+        """A copy ranking ``rows``, n original rows then n shadow rows, each
+        checked as the constructor checks it; the one way to edit seat
+        rankings.  It takes this config's ``slot_order`` if built, which
+        depends only on id, n and location; it never builds one, so a
+        config that fails validation is copied as it is."""
         cfg = replace(self, original_priorities=rows[:self.n], shadow_priorities=rows[self.n:])
-        cfg.__dict__["slot_order"] = self.slot_order
+        if "slot_order" in self.__dict__:
+            cfg.__dict__["slot_order"] = self.slot_order
         return cfg
 
     # Derived once per config, on first use (never in __init__, so building
@@ -277,25 +276,18 @@ class Instance:
 
     # -- functional updates --
 
-    def with_branches(self, branches: Mapping[BranchId, BranchConfig]) -> "Instance":
-        """This market with ``branches`` as its branch table, sorted by id as
-        the constructor sorts it.  Its contracts and preferences are the
-        same, so the copy takes this one's normalised fields and every
-        lookup it has built, without building again; it drops
-        ``contracts_of_branch`` when the branch ids differ."""
+    def with_branches(self, changes: Mapping[BranchId, BranchConfig]) -> "Instance":
+        """This market with each config in ``changes`` in place of the one
+        under its id; the one way to edit branch configs.  An id the market
+        lacks raises KeyError.  Its contracts, preferences and branch ids
+        are the same, so the copy takes this one's normalised fields, its
+        branch order and every lookup it has built, without building again."""
+        unknown = [b for b in changes if b not in self.branches]
+        if unknown:
+            raise KeyError(f"the market has no branch {unknown[0]}")
         inst = object.__new__(Instance)
-        inst.__dict__.update(self.__dict__, branches=dict(_sorted(branches.items(), "branches", "branch ids")))
-        if inst.branches.keys() != self.branches.keys():
-            inst.__dict__.pop("contracts_of_branch", None)
+        inst.__dict__.update(self.__dict__, branches={**self.branches, **changes})
         return inst
-
-    def with_branch(self, cfg: BranchConfig) -> "Instance":
-        return self.with_branches({**self.branches, cfg.id: cfg})
-
-    def with_transfer_bit(self, branch: BranchId, k: int, bit: int) -> "Instance":
-        cfg = self.branches[branch]
-        cfg.priority(cfg.original_slot(k))  # a k outside 1..n raises KeyError, as a seat the branch lacks
-        return self.with_branch(replace(cfg, transfer=cfg.transfer[:k - 1] + (bit,) + cfg.transfer[k:]))
 
 
 def _is_int(value: Any) -> bool:

@@ -413,7 +413,7 @@ def generate_improvement(inst: Instance, agent: AgentId, seed: int = 0) -> Insta
         promoted.add(b)
     if not promoted:
         return inst
-    return inst.with_branches({**inst.branches, **{b: inst.branches[b].with_rows(rows[b]) for b in promoted}})
+    return inst.with_branches({b: inst.branches[b].with_rows(rows[b]) for b in promoted})
 
 
 def check_respects_improvements(

@@ -20,6 +20,19 @@ def with_preference(inst: Instance, agent: str, ranking) -> Instance:
     return dataclasses.replace(inst, preferences={**inst.preferences, agent: ranking})
 
 
+def with_branch(inst: Instance, cfg: BranchConfig) -> Instance:
+    """``inst`` with ``cfg`` under its id, added or replaced, built through
+    the constructor as :func:`with_preference` is.  The library's
+    ``Instance.with_branches`` only replaces configs the market has."""
+    return dataclasses.replace(inst, branches={**inst.branches, cfg.id: cfg})
+
+
+def run_json(state) -> dict:
+    """A COM run as one document: its steps, replayed by ``iter_steps``,
+    and its sorted outcome."""
+    return {"steps": list(state.iter_steps()), "outcome": sorted(state.outcome)}
+
+
 def branch(bid="b", n=1, location=None, transfer=None, original=None, shadow=None) -> BranchConfig:
     location = tuple(location) if location is not None else tuple(range(1, n + 1))
     transfer = tuple(transfer) if transfer is not None else (0,) * n

@@ -12,10 +12,11 @@ on every trial's market, unchanged or not.  They must not be imported by
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from typing import Sequence
 
 from sspwct import mechanism, oracles
-from sspwct.model import AgentId, ContractId, Instance
+from sspwct.model import ORIGINAL, AgentId, ContractId, Instance
 
 
 def _others_sequence(ranking: Sequence[ContractId], agent: AgentId, inst: Instance) -> list[ContractId]:
@@ -99,7 +100,10 @@ def generate_improvement(
             ranking.insert(rng.randrange(0, pos), cid)
         else:
             ranking.insert(rng.randint(0, len(ranking)), cid)
-        current = current.with_branch(cfg.with_ranking(slot, ranking))
+        field = "original_priorities" if slot.kind == ORIGINAL else "shadow_priorities"
+        rows = list(getattr(cfg, field))
+        rows[slot.index - 1] = ranking
+        current = replace(current, branches={**current.branches, b: replace(cfg, **{field: rows})})
     return current
 
 

@@ -303,9 +303,7 @@ def test_criterion_09a_capacity_expansion_never_hurts():
 
 
 def _zero_transfers(inst):
-    for b, cfg in inst.branches.items():
-        inst = inst.with_branch(replace(cfg, transfer=(0,) * cfg.n))
-    return inst
+    return inst.with_branches({b: replace(cfg, transfer=(0,) * cfg.n) for b, cfg in inst.branches.items()})
 
 
 def test_criterion_09b_bottom_contract_additions_never_hurt():

@@ -93,7 +93,7 @@ def test_instance_files(config):
 def test_trace_steps_share_the_pools_they_did_not_grow():
     inst = generate_instance(GeneratorConfig(seed=3, agents=40, branches=5, capacity=(4, 8)))
     trace = cumulative_offer(inst)
-    steps = trace.to_json()["steps"]
+    steps = list(trace.iter_steps())
     for before, step in zip(steps, steps[1:]):
         grown = inst.contract_index[step["contract"]].branch
         assert all((pool is before["pools"][b]) == (b != grown) for b, pool in step["pools"].items())
@@ -205,7 +205,7 @@ def written(monkeypatch):
         assert write(value, chunks.append) is None
         text = "".join(chunks)
         if isinstance(value, dict) and isinstance(value.get("trace"), Iterator):
-            value = {**value, "trace": runs[-1].to_json()["steps"]}
+            value = {**value, "trace": list(runs[-1].iter_steps())}
         assert text == reference(value)
         texts.append(text)
         if out is None:
@@ -275,5 +275,5 @@ def test_large_trace_payload():
     # a size-M market's trace, the payload market-trace writes
     inst = generate_instance(GeneratorConfig(seed=100, agents=200, branches=10, capacity=(15, 15)))
     trace = cumulative_offer(inst)
-    payload = {"outcome": sorted(trace.outcome), "trace": trace.to_json()["steps"]}
+    payload = {"outcome": sorted(trace.outcome), "trace": list(trace.iter_steps())}
     assert model.canonical_json(payload) == reference(payload)

@@ -81,7 +81,7 @@ class TestSspwctChoose:
         # e1 is active (o1 is not in the ledger and bit 1 is set), yet empty:
         # once it ranks x, it takes x
         assert result.seats == {} and cfg.transfer == (1,)
-        ranked = cfg.with_ranking(cfg.shadow_slot(1), ("x",))
+        ranked = cfg.with_rows([(), ("x",)])
         assert sspwct_choose(ranked, {"x"}, inst.contract_index).seats == {cfg.shadow_slot(1): "x"}
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import com_reference as ref
-from conftest import CountedSet, with_preference
+from conftest import CountedSet, run_json, with_preference
 from sspwct import cli
 from sspwct.choice import completion_choose, sspwct_choose
 from sspwct.generator import GeneratorConfig, generate_batch, generate_instance
@@ -43,7 +43,7 @@ def test_traces_match_reference(batch):
                 (s.t, s.agent, s.contract, s.verdict, {b: frozenset(p) for b, p in s.pools.items()})
                 for s in got.steps
             ], (cfg.seed + i, policy, seed)
-            assert got.to_json() == ref.trace_to_json(want), (cfg.seed + i, policy, seed)
+            assert run_json(got) == ref.trace_to_json(want), (cfg.seed + i, policy, seed)
             steps += len(got.steps)
     assert steps > count  # the batch is not trivially empty
 
@@ -71,7 +71,7 @@ def test_large_market_lex_trace_matches_reference():
     inst = generate_instance(GeneratorConfig(seed=3400, agents=200, branches=10, capacity=(15, 15)))
     got = cumulative_offer(inst)
     assert len(got.steps) > 500
-    assert got.to_json() == ref.trace_to_json(ref.cumulative_offer(inst))
+    assert run_json(got) == ref.trace_to_json(ref.cumulative_offer(inst))
 
 
 #: the forms an offer set may take: the rule reads a set in place and

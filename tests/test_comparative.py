@@ -99,7 +99,7 @@ class TestFlexibility:
         while (target := first_zero_bit(current)) is not None:
             report = flexibility_compare(current, *target)
             assert report.verdict == PARETO_DOMINATES
-            current = current.with_transfer_bit(target[0], target[1], 1)
+            current = comparative.flip_transfer(current, *target)
 
 
 class TestImprovementChain:
@@ -132,7 +132,7 @@ class TestImprovementChain:
         assert report.baseline == {"p_lo"}
         chain = improvement_chain(inst, report, "b", 1)
         assert chain == {"p_hi", "q1"}
-        assert chain == cumulative_offer(inst.with_transfer_bit("b", 1, 1)).outcome
+        assert chain == cumulative_offer(comparative.flip_transfer(inst, "b", 1)).outcome
 
     def test_precondition_shadow_must_fill(self):
         inst = make_instance(
@@ -157,7 +157,7 @@ class TestImprovementChain:
                 continue
             ran += 1
             modified = cumulative_offer(
-                inst.with_transfer_bit(target[0], target[1], 1)
+                comparative.flip_transfer(inst, *target)
             ).outcome
             assert chain == modified, (seed, sorted(chain), sorted(modified))
         assert ran >= 10

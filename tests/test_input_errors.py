@@ -81,6 +81,18 @@ RAISE_SITES = [
         id="flip_transfer-slot-n+1",
     ),
     pytest.param(
+        lambda: comparative.flip_transfer(MARKET, "b", -1),
+        "slot index -1 out of range for branch b (n=1)",
+        ["experiment", "{path}", "--theorem", "3", "--branch", "b", "--slot", "-1"],
+        id="flip_transfer-slot--1",
+    ),
+    pytest.param(
+        lambda: comparative.flip_transfer(MARKET, "b", 3),
+        "slot index 3 out of range for branch b (n=1)",
+        ["experiment", "{path}", "--theorem", "3", "--branch", "b", "--slot", "3"],
+        id="flip_transfer-slot-n+2",
+    ),
+    pytest.param(
         lambda: comparative.extend_branch(MARKET, "b", (), 0),
         "position 0 out of range for branch b (n=1)",
         ["experiment", "{path}", "--theorem", "4", "--branch", "b", "--position", "0"],

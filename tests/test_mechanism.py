@@ -18,7 +18,7 @@ from sspwct.mechanism import (
 from sspwct.generator import GeneratorConfig, generate_batch, generate_instance
 from sspwct.model import canonical_json
 
-from conftest import branch, make_instance, with_preference
+from conftest import branch, make_instance, run_json, with_preference
 from test_com_differential import BATCHES, POLICIES
 
 
@@ -240,7 +240,7 @@ def test_cumulative_offer_moves_and_traces_are_unchanged(batch):
     for inst in generate_batch(cfg, count):
         for policy, seed in POLICIES:
             trace = cumulative_offer(inst, policy=policy, seed=seed)
-            digest.update(canonical_json({"moves": trace.moves, "trace": trace.to_json()}).encode())
+            digest.update(canonical_json({"moves": trace.moves, "trace": run_json(trace)}).encode())
     assert digest.hexdigest() == MOVES_DIGESTS[batch]
 
 

@@ -200,9 +200,9 @@ def test_replace_and_transfer_update_build_a_fresh_seat_plan():
     cfg = inst.branches["b"]
     assert [str(slot) for slot in cfg.slot_order] == ["b:o1", "b:e1", "b:o2", "b:e2"]
     assert planned(cfg) == [("b:o1", -1), ("b:o2", -1), ("b:e2", 1)]
-    flipped = inst.with_transfer_bit("b", 1, 1).branches["b"]
+    flipped = inst.with_branches({"b": dataclasses.replace(cfg, transfer=(1, 1))}).branches["b"]
     assert planned(flipped) == [("b:o1", -1), ("b:e1", 0), ("b:o2", -1), ("b:e2", 2)]
-    closed = inst.with_transfer_bit("b", 2, 0).branches["b"]
+    closed = inst.with_branches({"b": dataclasses.replace(cfg, transfer=(0, 0))}).branches["b"]
     assert planned(closed) == [("b:o1", -1), ("b:o2", -1)]
     moved = dataclasses.replace(cfg, location=(2, 2))
     assert planned(moved) == [("b:o1", -1), ("b:o2", -1), ("b:e2", 1)]
@@ -211,26 +211,36 @@ def test_replace_and_transfer_update_build_a_fresh_seat_plan():
     assert planned(cfg) == [("b:o1", -1), ("b:o2", -1), ("b:e2", 1)]  # the original is untouched
 
 
-def test_a_new_branch_table_shares_the_contract_side_lookups():
+def test_with_branches_keeps_the_order_the_unchanged_configs_and_the_lookups():
     inst = make_instance(
-        [("x", "A", "b"), ("y", "B", "c")], {"A": ("x",), "B": ("y",)}, [branch("b"), branch("c")]
+        [("x", "A", "b"), ("y", "B", "c"), ("z", "B", "d")], {"A": ("x",), "B": ("y", "z")},
+        [branch("b"), branch("c"), branch("d")],
     )
     lookups = ["contract_index", "agents", "contracts_of_agent", "_pref_rank", "contracts_of_branch"]
     built = {name: getattr(inst, name) for name in lookups}
-    flipped = inst.with_transfer_bit("b", 1, 1)
-    assert flipped.branches["b"].transfer == (1,) and flipped.branches["c"] is inst.branches["c"]
-    assert all(getattr(flipped, name) is built[name] for name in lookups)
-    # a new branch id gets its own contracts_of_branch, and the rest is shared
-    grown = inst.with_branch(branch("d"))
-    assert grown.contracts_of_branch == {"b": ("x",), "c": ("y",), "d": ()}
-    assert all(getattr(grown, name) is built[name] for name in lookups[:-1])
-    fewer = inst.with_branches({"b": inst.branches["b"]})
-    assert fewer.contracts_of_branch == {"b": ("x",), "c": ("y",)}
-    assert fewer.contracts_of_branch is not built["contracts_of_branch"]
+    changes = {"d": branch("d", transfer=(1,)), "b": branch("b", original=[("x",)])}
+    edited = inst.with_branches(changes)
+    assert list(edited.branches) == ["b", "c", "d"]
+    assert [edited.branches[b] for b in "bcd"] == [changes["b"], inst.branches["c"], changes["d"]]
+    assert edited.branches["c"] is inst.branches["c"] and edited.branches["d"] is changes["d"]
+    assert all(getattr(edited, name) is built[name] for name in lookups)
+    assert list(inst.branches) == ["b", "c", "d"] and inst.branches["d"].transfer == (0,)
+    assert inst.with_branches({}).branches == inst.branches
     # a lookup this market never built is built by the copy
     fresh = make_instance([("x", "A", "b")], {"A": ("x",)}, [branch("b")])
-    assert "contract_index" not in vars(fresh.with_branch(branch("b", n=2)))
-    assert fresh.with_branch(branch("b", n=2)).contract_index == {"x": fresh.contracts[0]}
+    assert "contract_index" not in vars(fresh.with_branches({"b": branch("b", n=2)}))
+    assert fresh.with_branches({"b": branch("b", n=2)}).contract_index == {"x": fresh.contracts[0]}
+
+
+@pytest.mark.parametrize("changes", [{"e": branch("e")}, {"b": branch("b"), "a": branch("a")}],
+                         ids=["new-id", "new-id-after-a-known-one"])
+def test_with_branches_rejects_an_id_the_market_lacks(changes):
+    inst = make_instance([("x", "A", "b")], {"A": ("x",)}, [branch("b")])
+    unknown = next(b for b in changes if b not in inst.branches)
+    with pytest.raises(KeyError) as exc:
+        inst.with_branches(changes)
+    assert exc.value.args == (f"the market has no branch {unknown}",)
+    assert list(inst.branches) == ["b"]
 
 
 def test_equality_and_hash_ignore_the_cached_seat_plan():
@@ -265,34 +275,34 @@ def test_parse_rejects_a_branch_id_that_is_not_a_string(ids, where):
 
 
 @pytest.mark.parametrize("slot", MISSING_SEATS, ids=seat_id)
-def test_priority_and_with_ranking_reject_a_seat_the_branch_lacks(slot):
+def test_priority_and_row_reject_a_seat_the_branch_lacks(slot):
     cfg = branch(n=2, original=[("x",), ("y",)], shadow=[("y",), ("x",)])
-    for call in (lambda: cfg.priority(slot), lambda: cfg.with_ranking(slot, ("x",))):
+    for call in (cfg.priority, cfg.row):
         with pytest.raises(KeyError) as exc:
-            call()
+            call(slot)
         assert exc.value.args == (f"branch b has no seat {slot!r}",)
 
 
-@pytest.mark.parametrize("k, bit", [(0, 1), (-1, 7), (4, 1), (5, 0)])
-def test_with_transfer_bit_rejects_a_seat_the_branch_lacks(k, bit):
-    # b01 has bits (0, 1, 1): k=0 once edited bit n, k=-1 bit n-1, and
-    # k=n+1 raised a raw IndexError
-    inst = generate_instance(GeneratorConfig(seed=1))
-    cfg = inst.branches["b01"]
-    assert cfg.transfer == (0, 1, 1)
-    with pytest.raises(KeyError) as exc:
-        inst.with_transfer_bit("b01", k, bit)
-    assert exc.value.args == (f"branch b01 has no seat {cfg.original_slot(k)!r}",)
-    assert inst.branches["b01"] is cfg and cfg.transfer == (0, 1, 1)
-
-
-def test_with_ranking_edits_only_its_seat():
+def test_row_is_the_seat_index_in_with_rows_order():
     cfg = branch(n=2, original=[("x",), ("y",)], shadow=[("y",), ("x",)])
+    assert [cfg.row(slot) for slot in cfg.slots()] == [0, 1, 2, 3]
     for slot in cfg.slots():
-        edited = cfg.with_ranking(slot, ["z"])
+        rows = [cfg.priority(s) for s in cfg.slots()]
+        rows[cfg.row(slot)] = ["z"]
+        edited = cfg.with_rows(rows)
         assert [edited.priority(s) for s in cfg.slots()] == [
             ("z",) if s == slot else cfg.priority(s) for s in cfg.slots()
         ]
+
+
+def test_with_rows_takes_a_built_seat_order_and_builds_none():
+    cfg = branch(n=2, location=(2, 2), original=[("x",), ()])
+    rows = [("y",), (), (), ()]
+    assert "slot_order" not in vars(cfg.with_rows(rows)) and "slot_order" not in vars(cfg)
+    order = cfg.slot_order
+    assert vars(cfg.with_rows(rows))["slot_order"] is order
+    short = branch(n=2, location=(1,))  # no seat order can be built from it
+    assert short.with_rows(rows).original_priorities == (("y",), ())
 
 
 def test_parse_keeps_one_string_per_id():
@@ -488,13 +498,14 @@ STRING_RANKINGS = [
      "branches[b].shadow_priorities[1]"),
     (lambda: with_preference(make_instance([("x", "A", "b")], {"A": ("x",)}, [branch(n=1)]), "A", "x"),
      "preferences[A]"),
-    (lambda: branch(n=1).with_ranking(branch(n=1).original_slot(1), "x"),
-     "branches[b].original_priorities[0]"),
+    (lambda: branch(n=1).with_rows(["x", ()]), "branches[b].original_priorities[0]"),
+    (lambda: branch(n=2).with_rows([(), (), (), "xy"]), "branches[b].shadow_priorities[1]"),
 ]
 
 
 @pytest.mark.parametrize("build, field", STRING_RANKINGS,
-                         ids=["preference", "original", "shadow", "with_preference", "with_ranking"])
+                         ids=["preference", "original", "shadow", "with_preference", "with_rows-original",
+                              "with_rows-shadow"])
 def test_a_ranking_given_as_one_string_raises_an_input_error(build, field):
     with pytest.raises(InputError, match=re.escape(
         f"{field}: a ranking must be a sequence of contract ids, not a string"

@@ -37,7 +37,7 @@ from sspwct.oracles import (
 
 import com_reference as ref
 import improvement_reference
-from conftest import branch, make_instance, with_preference
+from conftest import branch, make_instance, with_branch, with_preference
 
 
 # -- deliberately corrupted rules (oracle sensitivity) --
@@ -491,8 +491,8 @@ class TestImprovements:
 
     def test_demotion_is_not_an_improvement(self):
         inst = self.flip_instance()
-        demoted = inst.with_branch(
-            replace(inst.branches["b"], original_priorities=(("xb", "xa"),))
+        demoted = with_branch(
+            inst, replace(inst.branches["b"], original_priorities=(("xb", "xa"),))
         )
         assert not is_priority_improvement(inst, demoted, "A")
         assert is_priority_improvement(inst, demoted, "B")
@@ -503,8 +503,8 @@ class TestImprovements:
             {"A": ("xa",), "B": ("xb",), "C": ("xc",)},
             [branch(n=1, original=[("xa", "xb", "xc")])],
         )
-        shuffled = inst.with_branch(
-            replace(inst.branches["b"], original_priorities=(("xa", "xc", "xb"),))
+        shuffled = with_branch(
+            inst, replace(inst.branches["b"], original_priorities=(("xa", "xc", "xb"),))
         )
         assert not is_priority_improvement(inst, shuffled, "A")
 
@@ -517,7 +517,7 @@ class TestImprovements:
         )
         cfg = inst.branches["b"]
         for field in ("original_priorities", "shadow_priorities"):
-            short = inst.with_branch(replace(cfg, **{field: getattr(cfg, field)[:1]}))
+            short = with_branch(inst, replace(cfg, **{field: getattr(cfg, field)[:1]}))
             for base, new in ((inst, short), (short, inst), (short, short)):
                 assert not is_priority_improvement(base, new, "A"), (field, base is inst)
 
@@ -527,9 +527,9 @@ class TestImprovements:
         inst = make_instance(
             [("xa", "A", "b")], {"A": ("xa",)}, [branch(n=2, original=[("xa",), ()], shadow=[(), ()])]
         )
-        reshaped = inst.with_branch(replace(inst.branches["b"], **change))
+        reshaped = with_branch(inst, replace(inst.branches["b"], **change))
         assert not is_priority_improvement(inst, reshaped, "A")
-        assert is_priority_improvement(inst, inst.with_branch(replace(inst.branches["b"])), "A")
+        assert is_priority_improvement(inst, with_branch(inst, replace(inst.branches["b"])), "A")
 
     def test_one_demoted_row_among_equal_rows_is_no_improvement(self):
         rows = [("xa", "xb"), ("xb", "xa"), ("xa", "xb")]
@@ -539,7 +539,7 @@ class TestImprovements:
             [branch("b", n=3, original=rows, shadow=rows), branch("c", n=1)],
         )
         cfg = inst.branches["b"]
-        demoted = inst.with_branch(replace(cfg, shadow_priorities=rows[:2] + [("xb", "xa")]))
+        demoted = with_branch(inst, replace(cfg, shadow_priorities=rows[:2] + [("xb", "xa")]))
         assert not is_priority_improvement(inst, demoted, "A")
         assert is_priority_improvement(inst, demoted, "B")
 
@@ -558,8 +558,8 @@ class TestImprovements:
     def test_a_generated_change_that_is_no_improvement_raises(self, monkeypatch):
         # the self-check guards the generator: a demotion must never be tried
         inst = self.flip_instance()
-        demoted = inst.with_branch(
-            replace(inst.branches["b"], original_priorities=(("xb", "xa"),))
+        demoted = with_branch(
+            inst, replace(inst.branches["b"], original_priorities=(("xb", "xa"),))
         )
         monkeypatch.setattr(oracles, "generate_improvement", lambda inst, agent, seed: demoted)
         with pytest.raises(RuntimeError, match="generated priority change for A fails"):
@@ -568,8 +568,8 @@ class TestImprovements:
     def test_improvement_flips_winner_and_helps_improved_agent(self):
         inst = self.flip_instance()
         assert cumulative_offer(inst).outcome == {"xa"}
-        improved = inst.with_branch(
-            replace(inst.branches["b"], original_priorities=(("xb", "xa"),))
+        improved = with_branch(
+            inst, replace(inst.branches["b"], original_priorities=(("xb", "xa"),))
         )
         assert cumulative_offer(improved).outcome == {"xb"}  # B gains, A loses
         assert check_respects_improvements(inst, "B", trials=10, seed=0).ok

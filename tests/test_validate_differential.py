@@ -19,7 +19,7 @@ from sspwct import cli, comparative, model
 from sspwct.generator import GeneratorConfig, generate_instance
 from sspwct.model import Contract, InputError, Instance, ParseError, parse_instance, serialize_instance
 
-from conftest import branch, make_instance, with_preference
+from conftest import branch, make_instance, with_branch, with_preference
 from test_input_errors import MARKET, RAISE_SITES, _deep_preference
 from test_parse_differential import CONFIGS, _mutations
 
@@ -84,11 +84,11 @@ LIBRARY_BUILT = [
     pytest.param(with_preference(_TWO_AGENTS, "A", ("x", "z", "x", "z")), id="duplicate-entries"),
     pytest.param(with_preference(_TWO_AGENTS, "A", ("q", "x", "r")), id="unknown-ids"),
     pytest.param(with_preference(_TWO_AGENTS, "A", ("y", "x", "y")), id="other-agent-ids"),
-    pytest.param(_TWO_AGENTS.with_branch(branch(n=1, original=[("z", "x", "z", "q")])), id="other-branch-ids"),
+    pytest.param(with_branch(_TWO_AGENTS, branch(n=1, original=[("z", "x", "z", "q")])), id="other-branch-ids"),
     pytest.param(with_preference(_TWO_AGENTS, "A", (["x"], "x", {"y": 1}, 7)), id="unhashable-entries"),
     pytest.param(with_preference(_TWO_AGENTS, "A", (7, None, ("x",), 1.5, "x")), id="non-string-entries"),
     pytest.param(with_preference(_TWO_AGENTS, "C", ("x",)), id="agent-with-no-contracts"),
-    pytest.param(_TWO_AGENTS.with_branch(branch(bid="d", n=1, shadow=[("x",)])), id="branch-with-no-contracts"),
+    pytest.param(with_branch(_TWO_AGENTS, branch(bid="d", n=1, shadow=[("x",)])), id="branch-with-no-contracts"),
     pytest.param(make_instance([("x", "A", "b"), ("x", "B", "b")], {"A": ("x",), "B": ("x",)}, [branch()]),
                  id="duplicate-ids"),
     pytest.param(Instance((Contract("x", "A", "b", "t"), Contract("y", "A", "b", "t")), {"A": ("y", "x")},
@@ -165,7 +165,7 @@ def _edit_ranking(rng, inst):
     cfg = inst.branches[where[0]]
     rows = list(getattr(cfg, where[1]))
     rows[where[2]] = row
-    return inst.with_branch(dataclasses.replace(cfg, **{where[1]: rows}))
+    return with_branch(inst, dataclasses.replace(cfg, **{where[1]: rows}))
 
 
 def _edit_contracts(rng, inst):
