@@ -1,12 +1,15 @@
 """Command-line surface: run the mechanism, verify outcomes, run the oracle
 battery, run comparative-statics experiments, and generate instances.
 
-Data goes to stdout as JSON; diagnostics go to stderr.  Exit codes: 0 on
-success, 1 when the reader closed stdout early (nothing goes to stderr), 2
-on bad input (exactly :class:`~sspwct.model.InputError`), 3 when a
-requested check does not pass: an oracle verdict of fail or vacuous, an
-unstable outcome, a comparison verdict of violates, or an improvement
-chain that disagrees with the mechanism.
+Each command's handler returns its JSON document (None when nothing goes
+to stdout) and whether its checks passed; :func:`main` alone writes the
+document to stdout and turns the verdict into the exit code.  Diagnostics
+go to stderr.  Exit codes: 0 on success, 1 when the reader closed stdout
+early (nothing goes to stderr), 2 on bad input (exactly
+:class:`~sspwct.model.InputError`), 3 when a requested check does not pass:
+an oracle verdict of fail or vacuous, an unstable outcome, a comparison
+verdict of violates, or an improvement chain that disagrees with the
+mechanism.
 """
 from __future__ import annotations
 
@@ -24,6 +27,7 @@ from .model import (
     InputError,
     Instance,
     canonical_json,
+    instance_to_dict,
     outcome_violations,
     parse_instance,
     serialize_instance,
@@ -34,13 +38,6 @@ EXIT_OK = 0
 EXIT_CLOSED_STDOUT = 1
 EXIT_INVALID = 2
 EXIT_FAIL_VERDICT = 3
-
-
-def _emit(payload: dict) -> None:
-    """Write ``payload`` and a newline to stdout as a stream: an iterator in
-    it goes out one item at a time."""
-    canonical_json(payload, sys.stdout.write)
-    sys.stdout.write("\n")
 
 
 def _load_instance(path: str) -> Instance:
@@ -121,33 +118,30 @@ def _require_at_least(flag: str, value: int, least: int) -> None:
         raise InputError(f"{flag} must be at least {least} (got {value})")
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _cmd_run(args: argparse.Namespace) -> tuple[dict, bool]:
     inst = _load_instance(args.instance)
     trace = cumulative_offer(inst, policy=args.policy, seed=args.seed)
-    payload = {"outcome": sorted(trace.outcome)}
+    document = {"outcome": sorted(trace.outcome)}
     if args.trace:
-        payload["trace"] = trace.iter_steps()
-    _emit(payload)
-    return EXIT_OK
+        document["trace"] = trace.iter_steps()
+    return document, True
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[dict, bool]:
     _require_at_least("--bound", args.bound, 0)
     inst = _load_instance(args.instance)
     outcome = _load_outcome(args.outcome, inst)
     report = stability_report(inst, outcome, bound=args.bound)
     block = report.blocking
-    _emit(
-        {
-            "individually_rational": report.individually_rational,
-            "blocking": None if block is None else {"branch": block[0], "contracts": sorted(block[1])},
-            "stable": report.stable,
-        }
-    )
-    return EXIT_OK if report.stable else EXIT_FAIL_VERDICT
+    document = {
+        "individually_rational": report.individually_rational,
+        "blocking": None if block is None else {"branch": block[0], "contracts": sorted(block[1])},
+        "stable": report.stable,
+    }
+    return document, report.stable
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
+def _cmd_oracle(args: argparse.Namespace) -> tuple[dict, bool]:
     if args.instance is not None and args.gen:
         raise InputError("give either an instance file or --gen, not both")
     if args.instance is None and not args.gen:
@@ -167,8 +161,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     verdicts = oracles.run_suite(
         instances, suites, trials=args.trials, seed=args.seed, bound=args.bound, jobs=args.jobs
     )
-    _emit({"instances": len(instances), "verdicts": [v.to_json() for v in verdicts]})
-    return EXIT_OK if all(v.ok for v in verdicts) else EXIT_FAIL_VERDICT
+    document = {"instances": len(instances), "verdicts": [v.to_json() for v in verdicts]}
+    return document, all(v.ok for v in verdicts)
 
 
 def _pick_zero_bit(inst: Instance, branch: str | None) -> tuple[str, int]:
@@ -181,7 +175,7 @@ def _pick_zero_bit(inst: Instance, branch: str | None) -> tuple[str, int]:
     raise InputError(f"every transfer bit{where} is already 1; nothing to relax")
 
 
-def _cmd_experiment(args: argparse.Namespace) -> int:
+def _cmd_experiment(args: argparse.Namespace) -> tuple[dict, bool]:
     inst = _load_instance(args.instance)
     if args.branch is not None and args.branch not in inst.branches:
         raise InputError(
@@ -190,6 +184,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if args.agent is not None and args.agent not in inst.agents:
         raise InputError(f"unknown agent {args.agent!r}")
     rng = random.Random(args.seed)
+    chain_matches = None  # theorem 3's improvement chain against the mechanism
     if args.theorem == 3:
         if args.slot is None:
             branch, k = _pick_zero_bit(inst, args.branch)
@@ -201,64 +196,49 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         chain: dict = {"attempted": False, "matches_modified": None, "outcome": None}
         try:
             chain_outcome = comparative.improvement_chain(inst, report, branch, k)
-            chain = {
-                "attempted": True,
-                "matches_modified": chain_outcome == report.modified,
-                "outcome": sorted(chain_outcome),
-            }
+            chain_matches = chain_outcome == report.modified
+            chain = {"attempted": True, "matches_modified": chain_matches, "outcome": sorted(chain_outcome)}
         except comparative.PreconditionUnmet:
             pass
-        payload = report.to_json()
-        payload["flipped"] = {"branch": branch, "slot": k}
-        payload["chain"] = chain
-        _emit(payload)
-        failed = report.verdict == comparative.VIOLATES or chain["matches_modified"] is False
-        return EXIT_FAIL_VERDICT if failed else EXIT_OK
-
-    if args.theorem == 4:
+        extra = {"flipped": {"branch": branch, "slot": k}, "chain": chain}
+    elif args.theorem == 4:
         if not inst.branches:
             raise InputError("cannot add a seat: the instance has no branch")
         branch = args.branch if args.branch is not None else sorted(inst.branches)[0]
         ranking = comparative.random_slot_ranking(inst, branch, rng)
         report = comparative.add_original_slot(inst, branch, ranking, args.position)
-        payload = report.to_json()
-        payload["added_slot"] = {"branch": branch, "ranking": list(ranking), "position": args.position}
-        _emit(payload)
-        return EXIT_FAIL_VERDICT if report.verdict == comparative.VIOLATES else EXIT_OK
-
-    _require_at_least("--count", args.count, 1)
-    mode = comparative.MODE_BOTTOM if args.theorem == 5 else comparative.MODE_SINGLE_AGENT
-    additions = comparative.random_added_contracts(
-        inst, rng, mode, count=args.count, agent=args.agent
-    )
-    report = comparative.add_contracts(inst, additions, mode)
-    payload = report.to_json()
-    payload["added_contracts"] = [
-        {
-            "id": a.contract.id,
-            "agent": a.contract.agent,
-            "branch": a.contract.branch,
-            "pref_position": a.pref_position,
-            "slots": {str(slot): pos for slot, pos in sorted(a.slot_positions.items())},
-        }
-        for a in additions
-    ]
-    _emit(payload)
-    return EXIT_FAIL_VERDICT if report.verdict == comparative.VIOLATES else EXIT_OK
-
-
-def _cmd_gen(args: argparse.Namespace) -> int:
-    inst = generator.generate_instance(_generator_config(args))
-    text = serialize_instance(inst)
-    if args.out is None:
-        sys.stdout.write(text)
+        extra = {"added_slot": {"branch": branch, "ranking": list(ranking), "position": args.position}}
     else:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise InputError(f"cannot write {args.out}: {exc}")
-    return EXIT_OK
+        _require_at_least("--count", args.count, 1)
+        mode = comparative.MODE_BOTTOM if args.theorem == 5 else comparative.MODE_SINGLE_AGENT
+        additions = comparative.random_added_contracts(
+            inst, rng, mode, count=args.count, agent=args.agent
+        )
+        report = comparative.add_contracts(inst, additions, mode)
+        extra = {"added_contracts": [
+            {
+                "id": a.contract.id,
+                "agent": a.contract.agent,
+                "branch": a.contract.branch,
+                "pref_position": a.pref_position,
+                "slots": {str(slot): pos for slot, pos in sorted(a.slot_positions.items())},
+            }
+            for a in additions
+        ]}
+    ok = report.verdict != comparative.VIOLATES and chain_matches is not False
+    return {**report.to_json(), **extra}, ok
+
+
+def _cmd_gen(args: argparse.Namespace) -> tuple[dict | None, bool]:
+    inst = generator.generate_instance(_generator_config(args))
+    if args.out is None:
+        return instance_to_dict(inst), True
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(serialize_instance(inst))
+    except OSError as exc:
+        raise InputError(f"cannot write {args.out}: {exc}")
+    return None, True
 
 
 @functools.cache
@@ -323,9 +303,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        document, ok = args.func(args)
+        if document is not None:  # an iterator in it goes out one item at a time
+            canonical_json(document, sys.stdout.write)
+            sys.stdout.write("\n")
         sys.stdout.flush()
-        return code
+        return EXIT_OK if ok else EXIT_FAIL_VERDICT
     except InputError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INVALID

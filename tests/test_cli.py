@@ -352,6 +352,34 @@ class TestExperiment:
         assert code == 0 and json.loads(out)["chain"]["attempted"]
         assert len(calls) == 2  # baseline and modified, shared with the chain
 
+    def test_theorem_3_chain_that_disagrees_with_the_mechanism_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(comparative, "improvement_chain", lambda *args: frozenset())
+        path = tmp_path / "inst.json"
+        path.write_text(serialize_instance(make_instance(
+            [("x", "A", "b"), ("y", "B", "b")],
+            {"A": (), "B": ("y",)},
+            [branch(n=1, transfer=(0,), original=[("x",)], shadow=[("y", "x")])],
+        )))
+        code, out, _ = run_cli(capsys, "experiment", str(path), "--theorem", "3")
+        doc = json.loads(out)
+        assert (code, doc["verdict"], doc["modified"]) == (3, "pareto-dominates", ["y"])
+        assert doc["chain"] == {"attempted": True, "matches_modified": False, "outcome": []}
+
+    def test_bottom_addition_that_hurts_a_third_party_exits_3(self, tmp_path, capsys):
+        # the smallest hurt market: A's x is ranked only at shadow seat e_1,
+        # which transfers while o_1 (ranking nothing) is vacant; B's added
+        # contract fills o_1, so e_1 closes and A loses x
+        path = tmp_path / "inst.json"
+        path.write_text(serialize_instance(make_instance(
+            [("x", "A", "b")],
+            {"A": ("x",), "B": ()},
+            [branch(n=1, transfer=(1,), original=[()], shadow=[("x",)])],
+        )))
+        code, out, _ = run_cli(capsys, "experiment", str(path), "--theorem", "5", "--seed", "0")
+        doc = json.loads(out)
+        assert (code, doc["verdict"]) == (3, "violates")
+        assert doc["per_agent"] == {"A": "strictly_worse", "B": "strictly_better"}
+
     def test_theorem_3_no_zero_bit_exits_2(self, tmp_path, capsys):
         inst = make_instance(
             [("x", "A", "b")], {"A": ("x",)}, [branch(n=1, transfer=(1,), original=[("x",)])]

@@ -123,6 +123,19 @@ RAISE_SITES = [
         id="GeneratorConfig",
     ),
     pytest.param(
+        lambda: generator.GeneratorConfig(branches=0),
+        "invalid generator config: branches must be at least 1 (got 0)",
+        ["gen", "--branches", "0"],
+        id="GeneratorConfig-branches",
+    ),
+    pytest.param(  # argparse restricts --location-policy to the known names
+        lambda: generator.GeneratorConfig(location_policy="nope"),
+        "invalid generator config: location_policy must be one of "
+        f"{', '.join(generator.LOCATION_POLICIES)} (got 'nope')",
+        None,
+        id="GeneratorConfig-location_policy",
+    ),
+    pytest.param(
         lambda: comparative.apply_additions(MARKET, [], mode="nope"),
         "unknown mode 'nope'",
         None,

@@ -167,6 +167,24 @@ class TestMutationSensitivity:
         assert len(verdict.witness["smaller_set_chose"]) > len(verdict.witness["larger_set_chose"])
 
 
+    def test_reduction_oracle_fires_on_corrupted_rule(self, monkeypatch):
+        # the check reaches the rule through oracles' module global; every
+        # witness must replay on the transfer-zeroed config
+        monkeypatch.setattr(oracles, "sspwct_choose", drop_lowest_id)
+        fails = 0
+        for inst in generate_batch(GeneratorConfig(seed=7), 50):
+            for b, cfg in inst.branches.items():
+                verdict = check_slot_specific_reduction(inst, b)
+                if verdict.status == "fail":
+                    fails += 1
+                    w = verdict.witness
+                    zeroed, offers = replace(cfg, transfer=(0,) * cfg.n), frozenset(w["offers"])
+                    assert w["branch"] == b and w["sspwct"] != w["reference"]
+                    assert sorted(drop_lowest_id(zeroed, offers, inst.contract_index).chosen) == w["sspwct"]
+                    assert sorted(oracles.slot_specific_reference(
+                        zeroed, offers, inst.contract_index).chosen) == w["reference"]
+        assert fails == 72  # of the batch's 100 branch checks
+
     @pytest.mark.parametrize("rule", [choose_from_pairs, drop_lowest_id, reject_odd_pools])
     def test_strategy_proofness_oracle_fires_on_corrupted_rules(self, monkeypatch, rule):
         # COM reaches the rule through mechanism's module global, and so do
@@ -507,6 +525,15 @@ class TestImprovements:
             inst, replace(inst.branches["b"], original_priorities=(("xa", "xc", "xb"),))
         )
         assert not is_priority_improvement(inst, shuffled, "A")
+
+    def test_a_market_with_other_branch_ids_is_no_improvement(self):
+        inst = make_instance(
+            [("xa", "A", "b")], {"A": ("xa",)}, [branch(n=1, original=[("xa",)]), branch("c", n=1)]
+        )
+        dropped = Instance(inst.contracts, inst.preferences, {"b": inst.branches["b"]})
+        renamed = with_branch(dropped, branch("d", n=1))  # as many branches, other ids
+        for base, new in ((inst, dropped), (dropped, inst), (inst, renamed)):
+            assert not is_priority_improvement(base, new, "A")
 
     def test_a_seat_table_without_n_rows_is_no_improvement(self):
         # a zip over the rows would stop at the shorter table and pass
