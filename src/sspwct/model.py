@@ -539,8 +539,12 @@ def _shared(value: Any, share: Callable[[str, str], str], depth: int = 2) -> Any
     return value
 
 
-def parse_instance(text: str | bytes) -> Instance:
-    """Parse the canonical JSON instance format, reading each record with
+def parse_instance(source: Any) -> Instance:
+    """Parse the canonical JSON instance format from text, its UTF-8 bytes,
+    or a reader whose ``document(hook)`` returns the document that
+    ``json.loads`` decodes with ``object_pairs_hook=hook``, or raises its
+    error (``cli`` reads instance files in chunks with one).  The hook is
+    :func:`_sharing_strings`'s.  Each record is read with
     its format table (:data:`INSTANCE_FORMAT`, :data:`CONTRACT_FORMAT`,
     :data:`BRANCH_FORMAT`, and :data:`RANKING` for each preference).
 
@@ -552,17 +556,15 @@ def parse_instance(text: str | bytes) -> Instance:
     only a table that fails them is read record by record, to name the
     first bad field.
 
-    Bytes are decoded and dropped before the JSON parse, and the text is
-    dropped once the document is built.  CPython 3.11 and later hand call
-    arguments over to the callee's frame, so a caller that passes
-    ``fh.read()`` holds the file's text once, never bytes and text beside
-    the document.
+    Bytes are decoded and dropped before the JSON parse, and the text or
+    the reader is dropped once the document is built.
     """
     try:
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
-        doc = json.loads(text, object_pairs_hook=_sharing_strings())
-        del text
+        if isinstance(source, bytes):
+            source = source.decode("utf-8")
+        doc = (json.loads(source, object_pairs_hook=_sharing_strings()) if isinstance(source, str)
+               else source.document(_sharing_strings()))
+        del source
     except ValueError as exc:  # undecodable bytes as well as malformed JSON
         raise ParseError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:

@@ -20,6 +20,7 @@ from sspwct.model import (
     serialize_instance,
     validate_instance,
 )
+from sspwct import cli
 from sspwct.cli import main
 from sspwct.generator import LOCATION_POLICIES, GeneratorConfig, generate_instance
 from sspwct.mechanism import cumulative_offer
@@ -581,3 +582,23 @@ def test_parse_holds_the_file_text_once(tmp_path):
     finally:
         tracemalloc.stop()
     assert inst.contracts and peak < 2.5 * path.stat().st_size
+
+
+def test_reading_a_file_in_chunks_holds_less_than_its_text(tmp_path, monkeypatch):
+    # the CLI reads a market longer than its first chunk item by item, so
+    # the peak stays below the file's size; reading it whole as
+    # ``parse_instance(fh.read())`` holds about twice the file
+    monkeypatch.setattr(cli, "CHUNK", 1 << 18)
+    path = tmp_path / "m.json"
+    path.write_text(serialize_instance(generate_instance(
+        GeneratorConfig(seed=1, agents=400, branches=10, capacity=(30, 30)))))
+    assert path.stat().st_size > 8 * cli.CHUNK
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with open(path, "rb") as fh:
+            inst = parse_instance(cli._Reader(fh))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert inst.contracts and peak < path.stat().st_size
