@@ -14,14 +14,12 @@ mechanism.
 from __future__ import annotations
 
 import argparse
-import codecs
 import functools
 import json
 import os
 import random
-import re
 import sys
-from typing import Any, BinaryIO, Callable, Sequence
+from typing import Sequence
 
 from . import comparative, generator, oracles
 from .mechanism import DEFAULT_BLOCKING_BOUND, POLICY_LEX, POLICY_RANDOM, cumulative_offer, stability_report
@@ -42,107 +40,10 @@ EXIT_INVALID = 2
 EXIT_FAIL_VERDICT = 3
 
 
-#: Bytes of an instance file read first.  A file that ends within them is
-#: decoded whole; a longer one is read item by item as :data:`_STREAMED`
-#: says, a quarter chunk at a time, so a load holds the document and well
-#: under a chunk of text, never the file's bytes and its whole text.
-CHUNK = 1 << 21
-#: The values of an instance file read item by item: an object's fields map
-#: to how each is read, ``[x]`` is an array whose items are read as x, and
-#: None is a value decoded whole.  The rest of the file is small.
-_STREAMED = {"contracts": [None], "preferences": {},
-             "branches": [{"original_priorities": [None], "shadow_priorities": [None]}]}
-#: Whitespace, at most one separator, whitespace.
-_SEP = re.compile(r"[ \t\n\r]*([,:\]}]?)[ \t\n\r]*")
-
-
-class _Reader:
-    """The JSON document of an open binary file for
-    :func:`~sspwct.model.parse_instance`, read by json's C scanner.  It
-    holds only the text it has not yet read, and builds exactly the
-    document ``json.loads`` builds from the whole text."""
-
-    def __init__(self, fh: BinaryIO) -> None:
-        self.fh, self.buf, self.pos, self.eof = fh, "", 0, False
-        self.decode = codecs.getincrementaldecoder("utf-8")().decode
-
-    def fill(self, n: int) -> None:
-        """Read ``n`` more bytes after the text not yet read."""
-        rest, self.buf, self.pos = self.buf[self.pos:], "", 0
-        data = self.fh.read(n)
-        self.eof = len(data) < n  # a seekable file reads short only at its end
-        text = self.decode(data, self.eof)
-        del data
-        self.buf = rest + text
-
-    def token(self, scan: Callable[[str, int], tuple[Any, int]] | None) -> tuple[Any, str]:
-        """The value ``scan`` reads at ``pos`` (None reads nothing) and the
-        separator after it, or "".  Text is read ahead of each value, and
-        more while the value or the separator may run past the text read."""
-        if not self.eof and len(self.buf) - self.pos < CHUNK >> 3:
-            self.fill(CHUNK >> 2)
-        while True:
-            buf = self.buf
-            try:
-                value, end = scan(buf, self.pos) if scan else (None, self.pos)
-                sep = _SEP.match(buf, end)
-                if sep.end() < len(buf) or self.eof:
-                    self.pos = sep.end()
-                    return value, sep[1]
-            except (StopIteration, ValueError):
-                if self.eof:
-                    raise
-            self.fill(len(buf) + CHUNK)
-
-    def value(self, spec: Any) -> tuple[Any, str]:
-        """The value at ``pos``, read as ``spec`` says, and the separator after it."""
-        obj = type(spec) is dict
-        if spec is None or not self.buf.startswith("{" if obj else "[", self.pos):
-            return self.token(self.scan)
-        self.pos += 1
-        items, item = [], None if obj else spec[0]
-        _, sep = self.token(None)
-        while sep != ("}" if obj else "]"):
-            if sep != ("," if items else ""):
-                raise ValueError("expected a comma")
-            if obj:
-                key, sep = self.token(self.scan)
-                if type(key) is not str or sep != ":":
-                    raise ValueError("expected a key and a colon")
-                value, sep = self.value(spec.get(key))
-                items.append((key, value))
-            else:  # an item decoded whole goes straight to the scanner
-                value, sep = self.token(self.scan) if item is None else self.value(item)
-                items.append(value)
-        return self.hook(items) if obj else items, self.token(None)[1]
-
-    def document(self, hook: Callable[[list[tuple[str, Any]]], Any]) -> Any:
-        """The whole document, each object built by ``hook``: decoded whole
-        if it ends in the first chunk, else as :data:`_STREAMED` says.  A
-        file that cannot seek, or a document the reader rejects, goes whole
-        to ``json.loads``, so every error is the one it gives for the whole
-        text."""
-        self.hook, self.scan = hook, json.JSONDecoder(object_pairs_hook=hook).scan_once
-        start = self.fh.tell() if self.fh.seekable() else None
-        if start is not None:
-            try:
-                self.fill(CHUNK)
-                if not self.token(None)[1]:  # no separator before the document
-                    doc, sep = self.value(None if self.eof else _STREAMED)
-                    if not sep and self.pos == len(self.buf):
-                        self.buf = ""
-                        return doc
-            except (StopIteration, ValueError, RecursionError):
-                pass
-            self.buf = ""
-            self.fh.seek(start)
-        return json.loads(self.fh.read().decode("utf-8"), object_pairs_hook=self.hook)
-
-
 def _load_instance(path: str) -> Instance:
     try:
         with open(path, "rb") as fh:
-            inst = parse_instance(_Reader(fh))
+            inst = parse_instance(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
     problems = validate_instance(inst)

@@ -28,7 +28,9 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, repeat
 from operator import attrgetter
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, BinaryIO, Callable, Iterable, Mapping, Sequence
+
+from . import _reader
 
 ContractId = str
 AgentId = str
@@ -473,6 +475,10 @@ BRANCH_FORMAT = {"id": str, "n": int, "location": (int,), "transfer": (int,),
                  "original_priorities": ((str,),), "shadow_priorities": ((str,),)}
 #: Each agent's entry in ``preferences``.
 RANKING = (str,)
+#: The values of a file too long to decode whole that are read item by item
+#: (see :class:`~sspwct._reader.Reader`); the rest of the file is small.
+_STREAMED = {"contracts": [None], "preferences": {},
+             "branches": [{"original_priorities": [None], "shadow_priorities": [None]}]}
 #: Fields a record may omit; ``Contract.terms`` defaults to "".
 _OPTIONAL = frozenset({"terms"})
 #: The key sets a contract record may have.
@@ -515,7 +521,7 @@ def _record(obj: Any, fields: dict[str, Any], where: str, at: str) -> dict[str, 
 
 
 def _sharing_strings() -> Callable[[list[tuple[str, Any]]], dict]:
-    """A ``json.loads`` object hook for one document: each object's keys,
+    """An ``object_pairs_hook`` for one document: each object's keys,
     its string values and the strings in its arrays and arrays of arrays
     (the format nests no deeper) are replaced by the first equal string the
     document produced, so every id exists once.  A non-empty array of only
@@ -539,14 +545,15 @@ def _shared(value: Any, share: Callable[[str, str], str], depth: int = 2) -> Any
     return value
 
 
-def parse_instance(source: Any) -> Instance:
-    """Parse the canonical JSON instance format from text, its UTF-8 bytes,
-    or a reader whose ``document(hook)`` returns the document that
-    ``json.loads`` decodes with ``object_pairs_hook=hook``, or raises its
-    error (``cli`` reads instance files in chunks with one).  The hook is
-    :func:`_sharing_strings`'s.  Each record is read with
-    its format table (:data:`INSTANCE_FORMAT`, :data:`CONTRACT_FORMAT`,
-    :data:`BRANCH_FORMAT`, and :data:`RANKING` for each preference).
+def parse_instance(source: str | bytes | BinaryIO) -> Instance:
+    """Parse the canonical JSON instance format from text, its UTF-8 bytes
+    or an open binary file.  Each is decoded on one path: bytes are decoded
+    and dropped, and a temporary :class:`~sspwct._reader.Reader` builds the
+    document with :func:`_sharing_strings`'s hook, reading text whole and a
+    long file item by item; ``json.loads`` runs only to word a rejection.
+    Each record is read with its format table (:data:`INSTANCE_FORMAT`,
+    :data:`CONTRACT_FORMAT`, :data:`BRANCH_FORMAT`, and :data:`RANKING` for
+    each preference).
 
     Structural problems, unknown fields included, raise :class:`ParseError`
     naming the field; semantic invariants are left to :func:`validate_instance`.
@@ -554,16 +561,12 @@ def parse_instance(source: Any) -> Instance:
     table whose records are objects with the fields of its format and only
     strings as values passes three set operations and is built at once;
     only a table that fails them is read record by record, to name the
-    first bad field.
-
-    Bytes are decoded and dropped before the JSON parse, and the text or
-    the reader is dropped once the document is built.
+    first bad field.  The text is dropped once the document is built.
     """
     try:
         if isinstance(source, bytes):
             source = source.decode("utf-8")
-        doc = (json.loads(source, object_pairs_hook=_sharing_strings()) if isinstance(source, str)
-               else source.document(_sharing_strings()))
+        doc = _reader.Reader(source).document(_sharing_strings(), _STREAMED)
         del source
     except ValueError as exc:  # undecodable bytes as well as malformed JSON
         raise ParseError(f"invalid JSON: {exc}") from exc

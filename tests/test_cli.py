@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -97,6 +98,32 @@ class TestRun:
             path.write_bytes(content)
             code, out, err = run_cli(capsys, "run", str(path))
             assert code == 2 and out == "" and err.startswith("invalid JSON: ")
+
+    @staticmethod
+    def run_from_pipe(capsys, tmp_path, raw):
+        # a FIFO cannot seek, so the instance is read from it once, whole
+        fifo = tmp_path / "pipe.json"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(raw,), daemon=True)
+        writer.start()
+        result = run_cli(capsys, "run", str(fifo))
+        writer.join(timeout=60)
+        assert not writer.is_alive()
+        return result
+
+    def test_instance_from_a_pipe(self, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        path.write_text(serialize_instance(generate_instance(GeneratorConfig(seed=7, agents=120, branches=4))))
+        assert path.stat().st_size > 1 << 16  # more than a pipe's buffer holds
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert (code, err) == (0, "")
+        assert self.run_from_pipe(capsys, tmp_path, path.read_bytes()) == (0, out, "")
+
+    def test_malformed_instance_from_a_pipe_exits_2(self, tmp_path, capsys):
+        raw = '{"contracts": [}'
+        with pytest.raises(ValueError) as whole:
+            json.loads(raw)
+        assert self.run_from_pipe(capsys, tmp_path, raw.encode()) == (2, "", f"invalid JSON: {whole.value}\n")
 
     def test_invalid_instance_exits_2(self, tmp_path, capsys):
         inst = make_instance([], {}, [branch(n=1, location=(0,))])

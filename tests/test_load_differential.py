@@ -1,21 +1,22 @@
-"""Differential tests of the chunked instance-file reader in ``cli``.
+"""Differential tests of the one decode path of ``parse_instance``.
 
-``cli._Reader`` reads an open binary file ``cli.CHUNK`` bytes first and
-then item by item, for ``parse_instance``; before it, the CLI read a file
-as ``parse_instance(fh.read())``, which is still how ``parse_instance``
-reads text and bytes.  Every document below goes through both, from an
-in-memory and from a disk file, with ``cli.CHUNK`` at 1, 2, 3, 5 and 64
-bytes and at its default:
+``model.parse_instance`` decodes text, bytes and an open binary file
+through ``_reader.Reader``, which reads text whole and a seekable file
+``_reader.CHUNK`` bytes first and then item by item.  Before it, text and
+bytes went whole to ``json.loads``, which stays the reference here.  Every
+document below goes through four sources, text, bytes, ``io.BytesIO`` and
+a disk file, with ``_reader.CHUNK`` at 1, 2, 3, 5 and 64 bytes and at its
+default:
 
 * the reader's document equals ``json.loads`` of the whole text with the
   reference sharing hook of ``parse_reference``: the same values, a tuple
   exactly where the parser's hook makes one (a non-empty array of only
   strings that is an object's value or an item of one), and each string
   held by as many objects;
-* only a document ``json.loads`` rejects is read again whole, by
-  ``json.loads``, so the reader rejects exactly those;
-* the instance serializes to the same bytes, or both raise ``ParseError``
-  with the same text.
+* ``json.loads`` runs only for a document it rejects, from any source, and
+  the ``ParseError`` text is then ``invalid JSON: `` and json's message;
+* the instance serializes to the same bytes from every source, or every
+  source raises ``ParseError`` with the same text.
 
 The documents are the golden CLI outputs, generated markets, every 7th
 prefix of a small market, random one-character corruptions of it, and
@@ -24,19 +25,21 @@ layouts, trailing data, and valid and invalid UTF-8, including multi-byte
 characters split across chunks.
 """
 import codecs
+import contextlib
 import gc
 import io
 import json
 import os
 import random
 import re
+import weakref
 from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
 import parse_reference as ref
-from sspwct import cli
+from sspwct import _reader, model
 from sspwct.generator import GeneratorConfig, generate_instance
 from sspwct.model import ParseError, _sharing_strings, parse_instance, serialize_instance
 
@@ -126,11 +129,19 @@ def _objects(doc) -> dict[str, int]:
     return {s: len(ids) for s, ids in seen.items()}
 
 
+class Rejected(str):
+    """The ``ParseError`` text of a document ``json.loads`` rejects."""
+
+
 def _whole(raw: bytes):
+    """``json.loads`` of the whole text, or the ``ParseError`` text of its
+    rejection."""
     try:
         return json.loads(raw.decode("utf-8"), object_pairs_hook=ref._sharing_strings())
-    except (ValueError, RecursionError):
-        return ParseError
+    except ValueError as exc:
+        return Rejected(f"invalid JSON: {exc}")
+    except RecursionError:
+        return Rejected("invalid JSON: arrays or objects nested too deeply")
 
 
 def _utf8(raw: bytes) -> bool:
@@ -141,88 +152,126 @@ def _utf8(raw: bytes) -> bool:
     return True
 
 
-def _outcome(read, raw):
+def _outcome(source):
     try:
-        return "accepted", serialize_instance(read(raw))
+        return "accepted", serialize_instance(parse_instance(source))
     except ParseError as exc:
         return "rejected", str(exc)
 
 
-def _read(fh):
-    return parse_instance(cli._Reader(fh))
+def _document(source):
+    return _reader.Reader(source).document(_sharing_strings(), model._STREAMED)
 
 
 @pytest.mark.parametrize("chunk", CHUNKS, ids=lambda c: f"chunk-{c or 'default'}")
-def test_reader_matches_the_whole_text_parse(chunk, tmp_path, monkeypatch):
+def test_every_source_matches_the_whole_text_parse(chunk, tmp_path, monkeypatch):
     if chunk:
-        monkeypatch.setattr(cli, "CHUNK", chunk)
+        monkeypatch.setattr(_reader, "CHUNK", chunk)
     calls, loads = [], json.loads
     monkeypatch.setattr(json, "loads", lambda *args, **kwargs: calls.append(args) or loads(*args, **kwargs))
     path = tmp_path / "m.json"
     rejected = 0
     for name, raw in DOCUMENTS.items():
-        want, outcome = _whole(raw), _outcome(parse_instance, raw)
+        want, utf8 = _whole(raw), _utf8(raw)
         path.write_bytes(raw)
-        for source in (lambda: io.BytesIO(raw), lambda: open(path, "rb")):
+        sources = {"bytes": lambda: contextlib.nullcontext(raw), "BytesIO": lambda: io.BytesIO(raw),
+                   "file": lambda: open(path, "rb")}
+        if utf8:
+            sources["text"] = lambda: contextlib.nullcontext(raw.decode("utf-8"))
+        outcomes = set()
+        for kind, source in sources.items():
+            # only a document json.loads rejects reaches it, and one that is
+            # not UTF-8 fails before json.loads is called
             calls.clear()
-            with source() as fh:
+            with source() as src:
+                outcomes.add(_outcome(src))
+            assert len(calls) == (type(want) is Rejected and utf8), (name, kind)
+            if kind == "bytes":
+                continue
+            with source() as src:
                 try:
-                    got = cli._Reader(fh).document(_sharing_strings())
+                    got = _document(src)
                 except (ValueError, RecursionError):
-                    got = ParseError
-            # only a document json.loads rejects is read again whole, and
-            # one that is not UTF-8 fails before json.loads is called
-            assert len(calls) == (want is ParseError and _utf8(raw)), name
-            if want is ParseError:
-                assert got is ParseError, name
+                    got = Rejected
+            if type(want) is Rejected:
+                assert got is Rejected, (name, kind)
             else:
                 _same(got, want)
-                assert _objects(got) == _objects(want), name
-            with source() as fh:
-                assert _outcome(_read, fh) == outcome, name
-        rejected += want is ParseError
+                assert _objects(got) == _objects(want), (name, kind)
+        assert len(outcomes) == 1, name
+        if type(want) is Rejected:
+            assert outcomes == {("rejected", want)}, name
+        rejected += type(want) is Rejected
     assert min(rejected, len(DOCUMENTS) - rejected) > 50  # many of each
 
 
 def test_a_multibyte_character_split_across_chunks(monkeypatch):
     # the first read ends inside the euro sign, the next one inside the
     # emoji; the incremental decoder joins them, with no whole-text retry
-    monkeypatch.setattr(cli, "CHUNK", 2)
+    monkeypatch.setattr(_reader, "CHUNK", 2)
     monkeypatch.setattr(json, "loads", None)
     text = "\u20ac\U0001F600"
-    assert cli._Reader(io.BytesIO(f'"{text}"'.encode())).document(_sharing_strings()) == text
-    inst = _read(io.BytesIO(DOCUMENTS["multibyte"]))
+    assert _document(io.BytesIO(f'"{text}"'.encode())) == text
+    inst = parse_instance(io.BytesIO(DOCUMENTS["multibyte"]))
     assert {c.terms[:3] for c in inst.contracts} == {"é€\U0001F600"}
 
 
 def test_a_file_that_cannot_seek_is_read_whole():
-    for raw, want in ((SMALL.encode(), SMALL), (b'{"contracts": [}', None)):
+    bad = b'{"contracts": [}'
+    for raw, want in ((SMALL.encode(), ("accepted", SMALL)), (bad, ("rejected", _whole(bad)))):
         r, w = os.pipe()
         os.write(w, raw)
         os.close(w)
         with open(r, "rb") as fh:
-            assert not fh.seekable()
-            if want is None:
-                with pytest.raises(ParseError, match=re.escape(_outcome(parse_instance, raw)[1])):
-                    _read(fh)
-            else:
-                assert serialize_instance(_read(fh)) == want
+            assert not fh.seekable() and _outcome(fh) == want
 
 
 def test_a_rejected_file_is_read_again_from_where_it_started():
     head, doc = b"not part of the document", b'{"contracts": [1, }'
     with io.BytesIO(head + doc) as fh:
         fh.seek(len(head))
-        with pytest.raises(ParseError, match=f"^{re.escape(_outcome(parse_instance, doc)[1])}$"):
-            _read(fh)
+        with pytest.raises(ParseError, match=f"^{re.escape(_whole(doc))}$"):
+            parse_instance(fh)
 
 
 def test_the_reader_leaves_no_reference_cycles(monkeypatch):
-    monkeypatch.setattr(cli, "CHUNK", 64)
+    monkeypatch.setattr(_reader, "CHUNK", 64)
     gc.collect()
     gc.disable()
     try:
-        assert _read(io.BytesIO(SMALL.encode())).contracts
-        assert gc.collect() == 0
+        for source in (SMALL, io.BytesIO(SMALL.encode())):
+            assert parse_instance(source).contracts
+            assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("chunk", [64, None], ids=["streamed", "whole"])
+def test_no_reader_outlives_its_decode(chunk, tmp_path, monkeypatch):
+    # the reader and its hook's string memo are temporaries of the decode,
+    # so they are gone before the record walk on every Python version (a
+    # caller's frame keeps a call argument until the call returns before
+    # 3.11, so a reader passed to parse_instance would live through it)
+    if chunk:
+        monkeypatch.setattr(_reader, "CHUNK", chunk)
+    path = tmp_path / "m.json"
+    path.write_text(SMALL)
+    refs, record = [], model._record
+
+    class Reader(_reader.Reader):
+        def document(self, hook, streamed):
+            refs.extend((weakref.ref(self), weakref.ref(hook)))
+            return super().document(hook, streamed)
+
+    def walk(*args):
+        assert refs and [r() for r in refs] == [None] * len(refs)
+        return record(*args)
+
+    monkeypatch.setattr(_reader, "Reader", Reader)
+    monkeypatch.setattr(model, "_record", walk)
+    for source in (lambda: contextlib.nullcontext(SMALL), lambda: contextlib.nullcontext(SMALL.encode()),
+                   lambda: io.BytesIO(SMALL.encode()), lambda: open(path, "rb")):
+        refs.clear()
+        with source() as src:
+            assert serialize_instance(parse_instance(src)) == SMALL
+        assert len(refs) == 2

@@ -20,7 +20,7 @@ from sspwct.model import (
     serialize_instance,
     validate_instance,
 )
-from sspwct import cli
+from sspwct import _reader
 from sspwct.cli import main
 from sspwct.generator import LOCATION_POLICIES, GeneratorConfig, generate_instance
 from sspwct.mechanism import cumulative_offer
@@ -585,19 +585,19 @@ def test_parse_holds_the_file_text_once(tmp_path):
 
 
 def test_reading_a_file_in_chunks_holds_less_than_its_text(tmp_path, monkeypatch):
-    # the CLI reads a market longer than its first chunk item by item, so
-    # the peak stays below the file's size; reading it whole as
-    # ``parse_instance(fh.read())`` holds about twice the file
-    monkeypatch.setattr(cli, "CHUNK", 1 << 18)
+    # a market longer than the reader's first chunk is read from its open
+    # file item by item, so the peak stays below the file's size; reading
+    # it whole as ``parse_instance(fh.read())`` holds about twice the file
+    monkeypatch.setattr(_reader, "CHUNK", 1 << 18)
     path = tmp_path / "m.json"
     path.write_text(serialize_instance(generate_instance(
         GeneratorConfig(seed=1, agents=400, branches=10, capacity=(30, 30)))))
-    assert path.stat().st_size > 8 * cli.CHUNK
+    assert path.stat().st_size > 8 * _reader.CHUNK
     gc.collect()
     tracemalloc.start()
     try:
         with open(path, "rb") as fh:
-            inst = parse_instance(cli._Reader(fh))
+            inst = parse_instance(fh)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
