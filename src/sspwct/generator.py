@@ -1,13 +1,19 @@
 """Random instance generation for experiments and oracle batteries.
 
-All randomness flows from one seed through :class:`random.Random` (the
-stdlib Mersenne Twister, whose seeded streams are stable across platforms
-and versions), so any generated batch and any counterexample found on it
-can be reproduced exactly.
+All randomness flows from one seed through :class:`random.Random`, the
+stdlib Mersenne Twister, so any generated batch and any counterexample
+found on it can be reproduced exactly.  Python promises a seeded stream
+only for ``random()``; its integer methods (``randint``, ``choice``,
+``shuffle``) may change between versions.  So every index draw here
+(contract counts, capacities, location vectors, the ensured preference and
+each shuffle) is the module's own rejection draw over ``getrandbits``,
+:func:`_below` and :func:`_shuffle`, which make exactly the draws those
+methods make on CPython 3.10-3.13.
 """
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from .model import BranchConfig, Contract, InputError, Instance
@@ -48,6 +54,9 @@ class GeneratorConfig:
             problems.append(
                 f"contracts_per_pair must satisfy 0 <= min <= max (got min {low}, max {high})"
             )
+        for name in ("capacity", "contracts_per_pair"):  # the draws need integer bounds
+            if not all(isinstance(bound, int) for bound in getattr(self, name)):
+                problems.append(f"{name} must hold integers (got {getattr(self, name)})")
         for name in ("density", "transfer_density"):
             value = getattr(self, name)
             if not 0 <= value <= 1:
@@ -61,7 +70,30 @@ class GeneratorConfig:
             raise InputError("invalid generator config: " + "; ".join(problems))
 
 
-def _location_vector(n: int, policy: str, rng: random.Random) -> tuple[int, ...]:
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """A uniform draw from ``range(n)``, ``n >= 1``: ``getrandbits`` of
+    ``n``'s bit length, redrawn until below ``n``, as
+    ``random.Random._randbelow`` draws it."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _shuffle(x: list, getrandbits: Callable[[int], int]) -> None:
+    """Shuffle ``x`` in place with the draws ``random.Random.shuffle`` makes:
+    :func:`_below` of ``i + 1`` for each ``i`` from ``len(x) - 1`` down to 1,
+    inlined because it runs once per ranking entry."""
+    for i in range(len(x) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
+
+
+def _location_vector(n: int, policy: str, randint: Callable[[int, int], int]) -> tuple[int, ...]:
     if policy == LOCATION_ADJACENT:
         return tuple(range(1, n + 1))
     if policy == LOCATION_TERMINAL:
@@ -69,7 +101,7 @@ def _location_vector(n: int, policy: str, rng: random.Random) -> tuple[int, ...]
     loc: list[int] = []  # LOCATION_RANDOM; GeneratorConfig admits no other policy
     for k in range(1, n + 1):
         lower = max(k, loc[-1] if loc else 1)
-        loc.append(rng.randint(lower, n))
+        loc.append(randint(lower, n))
     return tuple(loc)
 
 
@@ -82,6 +114,16 @@ def generate_instance(cfg: GeneratorConfig) -> Instance:
     are not trivially empty.
     """
     rng = random.Random(cfg.seed)
+    draw, getrandbits, density = rng.random, rng.getrandbits, cfg.density
+
+    def randint(low: int, high: int) -> int:
+        return low + _below(getrandbits, high - low + 1)
+
+    def sample(ids: list[str]) -> list[str]:  # each id with probability density, in random order
+        listed = [cid for cid in ids if draw() < density]
+        _shuffle(listed, getrandbits)
+        return listed
+
     agents = [f"i{j:02d}" for j in range(1, cfg.agents + 1)]
     branch_ids = [f"b{j:02d}" for j in range(1, cfg.branches + 1)]
 
@@ -92,7 +134,7 @@ def generate_instance(cfg: GeneratorConfig) -> Instance:
     pool_of: dict[str, list[str]] = {branch: [] for branch in branch_ids}
     for agent in agents:
         for branch in branch_ids:
-            for t in range(rng.randint(*cfg.contracts_per_pair)):
+            for t in range(randint(*cfg.contracts_per_pair)):
                 cid = f"c{len(contracts) + 1:03d}"
                 contracts.append(Contract(cid, agent, branch, terms=f"t{t + 1}"))
                 own_of[agent].append(cid)
@@ -101,29 +143,22 @@ def generate_instance(cfg: GeneratorConfig) -> Instance:
     preferences = {}
     for agent in agents:
         own = own_of[agent]
-        listed = [cid for cid in own if rng.random() < cfg.density]
-        if cfg.ensure_acceptable and own and not listed:
-            listed = [rng.choice(own)]
-        rng.shuffle(listed)
-        preferences[agent] = tuple(listed)
+        listed = sample(own)
+        if cfg.ensure_acceptable and own and not listed:  # shuffling one id draws nothing
+            listed = [own[_below(getrandbits, len(own))]]
+        preferences[agent] = listed
 
     branches = {}
     for branch in branch_ids:
-        n = rng.randint(*cfg.capacity)
+        n = randint(*cfg.capacity)
         pool = pool_of[branch]
-
-        def ranking() -> tuple[str, ...]:
-            listed = [cid for cid in pool if rng.random() < cfg.density]
-            rng.shuffle(listed)
-            return tuple(listed)
-
         branches[branch] = BranchConfig(
             branch,
             n,
-            _location_vector(n, cfg.location_policy, rng),
-            tuple(1 if rng.random() < cfg.transfer_density else 0 for _ in range(n)),
-            tuple(ranking() for _ in range(n)),
-            tuple(ranking() for _ in range(n)),
+            _location_vector(n, cfg.location_policy, randint),
+            tuple(1 if draw() < cfg.transfer_density else 0 for _ in range(n)),
+            tuple(sample(pool) for _ in range(n)),
+            tuple(sample(pool) for _ in range(n)),
         )
 
     return Instance(tuple(contracts), preferences, branches)

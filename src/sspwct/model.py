@@ -619,13 +619,15 @@ def canonical_json(value: Any, out: Callable[[str], object] | None = None) -> st
     after each item of an iterator, and the rest at the end.
 
     It joins at C level instead of running json's pure-Python indent
-    encoder: a list of strings is one join over the C string quoter, and its
-    text is kept per depth, so a list object that trace steps share is
-    written once.  A memo entry holds its list, so no id is reused while the
-    entry lives.  After each item of an iterator written to ``out`` the memo
-    keeps only the lists that item read, so a stream of trace steps holds
-    one step, not the run.  Other scalars and dicts with a non-string key go
-    to ``json.dumps``, so their text and errors are json's own."""
+    encoder: a list of strings is one join of the raw strings when none
+    needs an escape, else one join over the C string quoter, and its text is
+    kept per depth, so a list object that trace steps share is written once;
+    a dict of strings is one join too.  A memo entry holds its list, so no
+    id is reused while the entry lives.  After each item of an iterator
+    written to ``out`` the memo keeps only the lists that item read, so a
+    stream of trace steps holds one step, not the run.  Other scalars and
+    dicts with a non-string key go to ``json.dumps``, so their text and
+    errors are json's own."""
     quote, parts, memo, kept = json.encoder.encode_basestring_ascii, [], {}, {}
 
     def write(v: Any, pad: str) -> None:
@@ -636,13 +638,19 @@ def canonical_json(value: Any, out: Callable[[str], object] | None = None) -> st
         if isinstance(v, (list, tuple)) and v:
             key = id(v), pad
             try:
-                entry = kept.get(key) or memo.get(key) or (v, f"[\n{inner}{sep.join(map(quote, v))}\n{pad}]")
+                if (entry := kept.get(key) or memo.get(key)) is None:
+                    whole = "".join(v)  # a TypeError unless every item is a string
+                    plain = len(quote(whole)) == len(whole) + 2  # every escape lengthens the text
+                    body = '"' + f'"{sep}"'.join(v) + '"' if plain else sep.join(map(quote, v))
+                    entry = v, f"[\n{inner}{body}\n{pad}]"
                 kept[key] = entry
                 return parts.append(entry[1])
             except TypeError:  # not all strings
                 pass
         if isinstance(v, dict) and all(isinstance(k, str) for k in v):
             items, brackets = [(quote(k) + ": ", x) for k, x in sorted(v.items())], "{}"
+            if v and all(isinstance(x, str) for x in v.values()):
+                return parts.append("{\n" + inner + sep.join([k + quote(x) for k, x in items]) + "\n" + pad + "}")
         elif isinstance(v, (list, tuple, Iterator)):
             items, brackets = zip(repeat(""), v), "[]"
         else:  # json converts or rejects a dict's other keys; no string holds a newline

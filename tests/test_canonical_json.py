@@ -99,6 +99,52 @@ def test_trace_steps_share_the_pools_they_did_not_grow():
         assert all((pool is before["pools"][b]) == (b != grown) for b, pool in step["pools"].items())
 
 
+# -- lists and dicts of strings, each written in one join --
+
+# strings that each need an escape, then two that need none
+ESCAPED = ['"', "\\", "\n", "\x00", "é", "日本", "\ud800"]  # the last a lone surrogate
+PLAIN = ["", "plain"]
+STRING_VALUES = [
+    *([s] for s in ESCAPED + PLAIN),
+    *(("a", s, "b") for s in ESCAPED + PLAIN),  # one escapable entry among plain ones
+    ESCAPED + PLAIN, ["", ""],
+    *({"k": s} for s in ESCAPED + PLAIN),
+    *({s: "v"} for s in ESCAPED + PLAIN),
+    *({"a": "x", "m": s, "z": ""} for s in ESCAPED + PLAIN),
+    dict(zip(ESCAPED, PLAIN * 4)),
+]
+
+
+@pytest.mark.parametrize("value", STRING_VALUES, ids=ascii)
+def test_strings_that_need_an_escape(value):
+    for doc in (value, {"outer": [value, {"inner": value}]}):
+        assert model.canonical_json(doc) == reference(doc)
+        chunks = []
+        assert model.canonical_json(doc, chunks.append) is None
+        assert "".join(chunks) == reference(doc)
+        chunks = []
+        model.canonical_json(iter([doc, doc]), chunks.append)
+        assert "".join(chunks) == reference([doc, doc]) and len(chunks) == 3
+
+
+@pytest.mark.parametrize("value, dumped", [
+    ({}, []),
+    ({"a": "x", "b": 1}, [1]),
+    ({"a": "x", "b": None, "c": ["y"]}, [None]),
+    (["a", 1], [1]),
+    (("a", "b", None), [None]),
+    ([1.5, "a"], [1.5]),
+])
+def test_other_scalars_still_go_to_json(monkeypatch, value, dumped):
+    # a dict with a value that is not a string, or a list with an entry
+    # that is not, takes the item loop, which hands each such scalar to json
+    seen, dumps = [], json.dumps
+    monkeypatch.setattr(json, "dumps", lambda v, **kw: seen.append(v) or dumps(v, **kw))
+    text = model.canonical_json(value)
+    monkeypatch.undo()
+    assert text == reference(value) and seen == dumped
+
+
 # -- iterators, written as a stream --
 
 
@@ -164,7 +210,9 @@ def test_a_list_shared_by_consecutive_items_is_quoted_once(monkeypatch):
     monkeypatch.setattr(json.encoder, "encode_basestring_ascii", lambda s: quoted.append(s) or quote(s))
     chunks = []
     model.canonical_json({"steps": ({"a": shared, "b": [str(i)]} for i in range(5))}, chunks.append)
-    assert quoted.count("s1") == 1
+    # the shared list's text is built once per stream: one quote call reads
+    # its strings, joined when none needs an escape
+    assert sum("s1" in s for s in quoted) == 1
     assert "".join(chunks) == reference({"steps": [{"a": shared, "b": [str(i)]} for i in range(5)]})
 
 

@@ -128,6 +128,12 @@ RAISE_SITES = [
         ["gen", "--branches", "0"],
         id="GeneratorConfig-branches",
     ),
+    pytest.param(  # argparse reads --cap-min and --cap-max as integers
+        lambda: generator.GeneratorConfig(capacity=(1.0, 3.0)),
+        "invalid generator config: capacity must hold integers (got (1.0, 3.0))",
+        None,
+        id="GeneratorConfig-capacity-float",
+    ),
     pytest.param(  # argparse restricts --location-policy to the known names
         lambda: generator.GeneratorConfig(location_policy="nope"),
         "invalid generator config: location_policy must be one of "
